@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--items", required=True, help="TSV: item_id, title, leaf_category")
     infer.add_argument("--k", type=int, default=DEFAULT_K)
     infer.add_argument("--align", choices=[a.value for a in Alignment], default="lta")
-    infer.add_argument("--threads", type=int, default=1)
+    infer.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     infer.add_argument("--max-predictions", type=int, default=DEFAULT_MAX_PREDICTIONS)
     infer.add_argument("--output", default="-", help="JSONL path, - for stdout")
     infer.set_defaults(func=cmd_infer)

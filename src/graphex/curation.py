@@ -90,6 +90,11 @@ class IngestReport:
         return len(self.errors)
 
 
+# Leaf category ids are stored as signed 64-bit integers in the model file.
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+
 def _parse_score(text: str, what: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
@@ -116,8 +121,9 @@ def ingest(
     """Parse a TSV stream into :class:`RawKeyphraseRow` values.
 
     ``source`` is a path or an open text handle.  Malformed rows (wrong
-    column count, empty keyphrase, unparseable leaf or scores) are
-    recorded in ``report`` with their 1-based line numbers and skipped.
+    column count, empty keyphrase, a leaf that is not an integer or falls
+    outside the signed 64-bit range, unparseable scores) are recorded in
+    ``report`` with their 1-based line numbers and skipped.
     With ``has_header=None`` the first line is sniffed: it is treated as a
     header when its last two columns do not both parse as numbers.
     """
@@ -143,6 +149,10 @@ def ingest(
                 if not keyphrase.strip():
                     raise ValueError("empty keyphrase")
                 leaf = int(leaf_text)
+                if not INT64_MIN <= leaf <= INT64_MAX:
+                    raise ValueError(
+                        f"leaf category {leaf_text!r} is outside the signed 64-bit range"
+                    )
                 search = _parse_score(search_text, "search score")
                 recall = _parse_score(recall_text, "recall score")
             except ValueError as exc:

@@ -4,15 +4,15 @@ For a query title the engine walks each unique title token's adjacency
 list in the leaf graph, counts how often every keyphrase appears across
 those lists (that count equals the token overlap between title and
 keyphrase, because keyphrase token lists are deduplicated), scores the
-survivors with an alignment function, and ranks them.  Counting uses a
-dense array over the leaf's contiguous keyphrase id range rather than
-sorting, so a query costs O(title tokens x average degree).
+survivors with an alignment function, and ranks them.  Counting sorts
+the gathered edges and measures runs of equal ids, so a query costs
+O(E log E) in the E edges its title tokens gather, independent of how
+many keyphrases the leaf holds.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -207,15 +207,18 @@ def prune_by_count_groups(candidates: Sequence[Candidate], k: int) -> list[Candi
 
 
 def _prune_cutoff(counts: np.ndarray, k: int) -> int:
-    """Smallest common-token count whose group is still kept (array form)."""
+    """Smallest common-token count whose group is still kept (array form).
+
+    Counts are bounded by the title length, so a histogram indexed by
+    count replaces sorting: its reversed cumulative sum is the number of
+    candidates kept at each cutoff, and empty groups never end the scan.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(counts) <= k:
         return 0
-    values, sizes = np.unique(counts, return_counts=True)
-    cumulative = np.cumsum(sizes[::-1])
-    idx = int(np.searchsorted(cumulative, k, side="left"))
-    return int(values[::-1][idx])
+    cumulative = np.cumsum(np.bincount(counts)[::-1])
+    return len(cumulative) - 1 - int(np.searchsorted(cumulative, k, side="left"))
 
 
 def rank(model: Model, candidates: Sequence[Candidate], limit: int | None = None) -> list[Prediction]:
@@ -243,7 +246,11 @@ def rank(model: Model, candidates: Sequence[Candidate], limit: int | None = None
 
 
 def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized overlap counting over one leaf's dense keyphrase range."""
+    """Overlap counts of the keyphrases in the title tokens' adjacency slices.
+
+    The gathered ids are sorted, so each keyphrase forms one run whose
+    length is its count; ids come back ascending.
+    """
     slices = []
     for token in tokens:
         token_id = model.vocabulary.lookup(token)
@@ -256,11 +263,15 @@ def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, 
     if not slices:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    gathered = np.concatenate(slices).astype(np.int64)
-    local = gathered - graph.kp_base
-    counts = np.bincount(local, minlength=graph.num_keyphrases)
-    hit = np.nonzero(counts)[0]
-    return hit + graph.kp_base, counts[hit]
+    # concatenate always copies, so sorting in place never touches the model.
+    gathered = np.concatenate(slices)
+    gathered.sort()
+    n = len(gathered)
+    run_edge = np.empty(n + 1, dtype=bool)
+    run_edge[0] = run_edge[n] = True
+    np.not_equal(gathered[1:], gathered[:-1], out=run_edge[1:n])
+    starts = np.flatnonzero(run_edge)
+    return gathered[starts[:-1]], starts[1:] - starts[:-1]
 
 
 def recommend(
@@ -303,20 +314,20 @@ def recommend(
     if max_predictions is not None:
         order = order[:max_predictions]
 
+    # Plain Python values from whole arrays; the orientation's sign flips
+    # work on arrays as they do on floats.
     orientation = model.orientation
-    out: list[Prediction] = []
-    for position, idx in enumerate(order, start=1):
-        kp_id = int(kp_ids[idx])
-        out.append(
-            Prediction(
-                keyphrase=model.kp_text(kp_id),
-                align=float(align_scores[idx]),
-                search=orientation.raw_search(float(search[idx])),
-                recall=orientation.raw_recall(float(recall[idx])),
-                position=position,
-            )
-        )
-    return out
+    texts = model.kp_texts
+    rows = zip(
+        model.kp_text_ref[kp_ids[order]].tolist(),
+        align_scores[order].tolist(),
+        orientation.raw_search(search[order]).tolist(),
+        orientation.raw_recall(recall[order]).tolist(),
+    )
+    return [
+        Prediction(texts[ref], align_score, raw_search, raw_recall, position)
+        for position, (ref, align_score, raw_search, raw_recall) in enumerate(rows, start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -340,11 +351,13 @@ def recommend_batch(
     workers: int = 1,
     max_predictions: int = DEFAULT_MAX_PREDICTIONS,
 ) -> list[BatchResult]:
-    """Run :func:`recommend` over many items, optionally with a thread pool.
+    """Run :func:`recommend` over many items on the calling thread.
 
-    Results keep input order and are identical for any worker count; the
-    model is shared, immutable state.  Per-item failures (unknown leaf,
-    bad query) land in ``BatchResult.error`` without aborting the batch.
+    Results keep input order.  Per-item failures (unknown leaf, bad
+    query) land in ``BatchResult.error`` without aborting the batch.
+    ``workers`` is accepted for compatibility and has no effect: a query
+    spends its time in short numpy calls that hold the interpreter lock,
+    so threads would only add overhead.
     """
     def one(item: BatchItem) -> BatchResult:
         try:
@@ -353,10 +366,7 @@ def recommend_batch(
             return BatchResult(item.item_id, item.query, [], str(exc))
         return BatchResult(item.item_id, item.query, preds)
 
-    if workers <= 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
+    return [one(item) for item in items]
 
 
 def predictions_to_dicts(predictions: Iterable[Prediction]) -> list[dict]:

@@ -69,6 +69,20 @@ def _parse_recommend_body(raw: bytes, config: ServeConfig) -> tuple[str, int, in
     return title, leaf, k, align
 
 
+def _content_length(header: str | None) -> int | None:
+    """Body length from a ``Content-Length`` header (absent or empty is 0).
+
+    Returns ``None`` unless the value is a plain run of ASCII digits:
+    ``int`` alone would accept a sign, underscores and non-ASCII digits.
+    """
+    if not header:
+        return 0
+    header = header.strip()
+    if not (header.isascii() and header.isdigit()):
+        return None
+    return int(header)
+
+
 class RecommendServer(ThreadingHTTPServer):
     """HTTP server carrying the shared model and serving configuration."""
 
@@ -124,7 +138,12 @@ class _Handler(BaseHTTPRequestHandler):
         if model is None:
             self._send_json(503, {"error": "model not loaded"})
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        length = _content_length(self.headers.get("Content-Length"))
+        if length is None:
+            # The body's extent is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return
         if length > config.max_body_bytes:
             self._send_json(413, {"error": f"body exceeds {config.max_body_bytes} bytes"})
             return

@@ -82,11 +82,13 @@ def brute_recommend(
     k: int,
     align: str = "lta",
     max_predictions: int = 40,
+    min_common_tokens: int = 1,
 ):
     """Full-scan reference recommender over the curated dataset.
 
     Never touches graphs, ids, or numpy: it intersects token sets for
-    every keyphrase in the leaf, prunes count groups, and sorts by
+    every keyphrase in the leaf, drops overlaps below
+    ``min_common_tokens``, prunes count groups, and sorts by
     (align desc, canonical search desc, canonical recall asc, text asc).
     Returns (keyphrase, align, raw search, raw recall, position) tuples.
     """
@@ -97,7 +99,7 @@ def brute_recommend(
     for kp in sorted(dataset.leaves.get(leaf, []), key=lambda kp: kp.text):
         kp_tokens = set(kp.text.split())
         common = len(kp_tokens & title_tokens)
-        if common == 0:
+        if common == 0 or common < min_common_tokens:
             continue
         scored.append((kp, common, len(kp_tokens)))
     kept_texts = set(brute_prune([(kp.text, common) for kp, common, _ in scored], k))

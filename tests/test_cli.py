@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graphex import storage
 from graphex.cli import main
 
 from conftest import HEADPHONES_TSV, HEADPHONES_TITLE
@@ -50,6 +51,18 @@ def test_train_reports_malformed_rows_with_line_numbers(tmp_path, capsys):
     assert code == 0
     assert "rows: 2 ok, 1 malformed" in captured.out
     assert ":2:" in captured.err
+
+
+def test_train_leaf_id_outside_int64_is_a_malformed_row(tmp_path, capsys):
+    tsv = tmp_path / "kp.tsv"
+    tsv.write_text(f"fine phrase\t{2**63 - 1}\t5\t5\nhuge leaf\t{2**63}\t5\t5\n")
+    out = tmp_path / "m.gex"
+    code = main(["train", "--input", str(tsv), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "rows: 1 ok, 1 malformed" in captured.out
+    assert ":2:" in captured.err and "64-bit" in captured.err
+    assert storage.load(str(out)).leaf_categories == [2**63 - 1]
 
 
 def test_train_filtering_everything_warns_but_succeeds(tmp_path, capsys):

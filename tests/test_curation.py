@@ -187,3 +187,16 @@ def test_curate_output_unique_per_leaf_and_sorted():
         texts = [kp.text for kp in group]
         assert texts == sorted(texts)
         assert len(texts) == len(set(texts))
+
+
+def test_ingest_rejects_leaf_ids_outside_int64():
+    text = (
+        f"at max\t{2**63 - 1}\t1\t1\n"
+        f"at min\t{-2**63}\t1\t1\n"
+        f"above\t{2**63}\t1\t1\n"
+        f"below\t{-2**63 - 1}\t1\t1\n"
+    )
+    parsed, report = rows_from(text, has_header=False)
+    assert [row.leaf_category for row in parsed] == [2**63 - 1, -2**63]
+    assert [err.line_no for err in report.errors] == [3, 4]
+    assert all("64-bit" in err.message for err in report.errors)

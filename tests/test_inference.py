@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import threading
 
+import numpy as np
 import pytest
 
 from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
@@ -11,6 +13,7 @@ from graphex.inference import (
     BatchItem,
     Candidate,
     Query,
+    _prune_cutoff,
     dedupe_and_count,
     enumerate_candidates,
     jac,
@@ -27,6 +30,7 @@ from helpers import (
     brute_prune,
     brute_recommend,
     make_dataset,
+    make_rows,
     make_title,
     predictions_as_tuples,
 )
@@ -299,6 +303,80 @@ def test_recommend_matches_brute_force_on_random_models():
             assert got == expected
 
 
+def _adversarial_rows(leaf: int, kind: str) -> list[RawKeyphraseRow]:
+    """Keyphrase rows for one leaf shaped to stress the counting kernel."""
+    rng = random.Random(f"{kind}-{leaf}")
+    if kind == "hub":
+        # "hub" is in every keyphrase: its degree is the leaf size.
+        texts = {f"hub w{a} w{b}" for a, b in
+                 (rng.sample(range(30), 2) for _ in range(400))}
+    elif kind == "one_token":
+        texts = {f"w{i}" for i in range(30)} | {f"w{i} w{i + 1}" for i in range(0, 30, 3)}
+    elif kind == "tied":
+        # One shared token, a distinct second token, equal scores: the
+        # order falls through align, search and recall to the keyphrase id.
+        return [RawKeyphraseRow(f"common x{i}", leaf, 7.0, 7.0) for i in range(120)]
+    else:
+        raise ValueError(kind)
+    return [
+        RawKeyphraseRow(text, leaf, float(rng.randint(0, 5)), float(rng.randint(0, 5)))
+        for text in sorted(texts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, title, k, max_predictions, min_common",
+    [
+        ("hub", "hub w3 w7 w11 zz1", 10, 40, 1),
+        ("hub", "hub", 10, 40, 1),
+        ("hub", "hub w3 w7 w11", 5, 40, 2),
+        ("hub", "hub w3 w7 w11", 1, 40, 3),
+        ("one_token", "w0 w1 w4 w9 w12 w13", 4, 40, 1),
+        ("one_token", "w0 w1 w4 w9 w12 w13", 3, 40, 2),
+        ("one_token", "w6 zz1 zz2", 10, 40, 1),
+        ("one_token", "zz1 zz2 zz3", 10, 40, 1),
+        ("tied", "common", 10, 40, 1),
+        ("tied", "common x5 x9", 2, 3, 1),
+        ("tied", "common", 10, 40, 2),
+    ],
+)
+def test_recommend_matches_brute_force_on_adversarial_leaves(
+    kind, title, k, max_predictions, min_common
+):
+    # The stressed leaf sits after a noise leaf that shares its tokens, so
+    # its keyphrase ids start above zero and cross-leaf edges would show.
+    rows = make_rows(random.Random(3), 200, 30, [1]) + _adversarial_rows(2, kind)
+    dataset = curate(rows, orientation=COUNT_ORIENTATION)
+    model = build(dataset)
+    assert model.leaf(2).kp_base > 0
+    for align in Alignment:
+        got = predictions_as_tuples(recommend(
+            model, Query(title, 2, k=k), align=align,
+            max_predictions=max_predictions, min_common_tokens=min_common,
+        ))
+        expected = brute_recommend(dataset, 2, title, k, align=align.value,
+                                   max_predictions=max_predictions,
+                                   min_common_tokens=min_common)
+        assert got == expected
+    if title.startswith("zz"):
+        assert got == []  # all-OOV title: nothing is gathered
+    if kind == "tied" and title == "common":
+        # 120 candidates tied at count 1: the cap trims the kept group,
+        # and requiring 2 common tokens leaves nothing.
+        assert len(got) == (max_predictions if min_common == 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "counts, k",
+    [([5, 1, 1], 1), ([5, 1, 1], 2), ([5, 1, 1], 3), ([9, 2, 2, 2], 2),
+     ([1, 7, 1, 4, 7], 3), ([3, 3, 3], 1), ([2, 8], 5)],
+)
+def test_prune_cutoff_skips_empty_count_groups(counts, k):
+    cutoff = _prune_cutoff(np.asarray(counts, dtype=np.int64), k)
+    kept = [i for i, c in enumerate(counts) if c >= cutoff]
+    assert kept == brute_prune(list(enumerate(counts)), k)
+
+
 def test_recommend_batch_preserves_order_and_isolates_errors(headphones_model):
     items = [
         BatchItem("one", Query(HEADPHONES_TITLE, HEADPHONES_LEAF, k=5)),
@@ -326,3 +404,14 @@ def test_recommend_batch_workers_do_not_change_results(headphones_model):
     sequential = recommend_batch(headphones_model, items, workers=1)
     threaded = recommend_batch(headphones_model, items, workers=8)
     assert sequential == threaded
+
+
+def test_recommend_batch_starts_no_thread(headphones_model, monkeypatch):
+    def refuse(self):
+        raise AssertionError("recommend_batch started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    items = [BatchItem(f"i{n}", Query(HEADPHONES_TITLE, HEADPHONES_LEAF, k=3)) for n in range(20)]
+    expected = recommend_batch(headphones_model, items, workers=1)
+    for workers in (0, 2, 8):
+        assert recommend_batch(headphones_model, items, workers=workers) == expected

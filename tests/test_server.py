@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -172,3 +173,29 @@ def test_concurrent_identical_requests_get_identical_bodies(base_url):
     bodies = {body for _, body in results}
     assert all(status == 200 for status, _ in results)
     assert len(bodies) == 1
+
+
+def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
+    """Send a POST with a verbatim Content-Length; return what the server sends back.
+
+    Reads until the server closes the connection, with a timeout so that
+    a handler stuck reading the body fails the test instead of hanging it.
+    """
+    head = (
+        "POST /recommend HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("value", ["abc", "12abc", "1_0", "+5", "-1", "-100"])
+def test_bad_content_length_is_400_and_closes(server, value):
+    reply = raw_post(server, value, body=b'{"title": "x", "leaf_category": 42}')
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Length must be a non-negative integer" in reply
+
