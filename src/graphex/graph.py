@@ -18,7 +18,7 @@ import numpy as np
 from .curation import CuratedDataset, ScoreOrientation
 from .vocab import Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class UnknownLeafError(KeyError):
@@ -51,14 +51,16 @@ class LeafGraph:
     """CSR adjacency from local token rows to global keyphrase ids.
 
     ``token_rows`` holds the global token ids present in this leaf in
-    ascending order; row ``i`` covers ``edges[offsets[i]:offsets[i + 1]]``.
-    Edge lists store global keyphrase ids, all within this leaf's dense
-    range.  Arrays are never mutated after construction, so a graph can be
+    strictly ascending order (loading a model file checks this), so the
+    row of a token is found by binary search over it; row ``i`` covers
+    ``edges[offsets[i]:offsets[i + 1]]``.  Edge lists store global
+    keyphrase ids, all within this leaf's dense range.  A graph holds only
+    these arrays, which are never mutated after construction, so it can be
     shared across threads freely.
     """
 
     __slots__ = ("leaf_category", "token_rows", "offsets", "edges", "kp_base",
-                 "num_keyphrases", "_row_of")
+                 "num_keyphrases")
 
     def __init__(
         self,
@@ -75,7 +77,6 @@ class LeafGraph:
         self.edges = edges
         self.kp_base = kp_base
         self.num_keyphrases = num_keyphrases
-        self._row_of = {int(tid): row for row, tid in enumerate(token_rows.tolist())}
 
     @property
     def num_tokens(self) -> int:
@@ -87,7 +88,15 @@ class LeafGraph:
 
     def row_of(self, token_id: int) -> int | None:
         """Local row for a global token id, or ``None`` if absent here."""
-        return self._row_of.get(token_id)
+        # Ids outside uint32 are never rows; checking first also keeps the
+        # needle cast below from wrapping or raising.
+        if not 0 <= token_id < 1 << 32:
+            return None
+        rows = self.token_rows
+        row = int(rows.searchsorted(np.uint32(token_id)))
+        if row < len(rows) and rows[row] == token_id:
+            return row
+        return None
 
     def adjacency_row(self, row: int) -> np.ndarray:
         """Keyphrase ids adjacent to local row ``row`` (a view, not a copy)."""
@@ -95,7 +104,7 @@ class LeafGraph:
 
     def adjacency(self, token_id: int) -> np.ndarray:
         """Keyphrase ids adjacent to a global token id (empty if absent)."""
-        row = self._row_of.get(token_id)
+        row = self.row_of(token_id)
         if row is None:
             return self.edges[:0]
         return self.adjacency_row(row)

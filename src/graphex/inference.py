@@ -248,21 +248,31 @@ def rank(model: Model, candidates: Sequence[Candidate], limit: int | None = None
 def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Overlap counts of the keyphrases in the title tokens' adjacency slices.
 
-    The gathered ids are sorted, so each keyphrase forms one run whose
-    length is its count; ids come back ascending.
+    All title tokens are found in the leaf's sorted ``token_rows`` with one
+    binary search; the gathered ids are sorted, so each keyphrase forms one
+    run whose length is its count; ids come back ascending.
     """
-    slices = []
-    for token in tokens:
-        token_id = model.vocabulary.lookup(token)
-        if token_id is None:
-            continue
-        row = graph.row_of(token_id)
-        if row is None:
-            continue
-        slices.append(graph.adjacency_row(row))
-    if not slices:
-        empty = np.empty(0, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    lookup = model.vocabulary.lookup
+    known = [token_id for token_id in map(lookup, tokens) if token_id is not None]
+    token_rows = graph.token_rows
+    if not known or not len(token_rows):
         return empty, empty
+    # Vocabulary ids fit in uint32, and a uint32 needle keeps searchsorted
+    # from copying the haystack to a wider type.
+    ids = np.array(known, dtype=np.uint32)
+    pos = token_rows.searchsorted(ids)
+    rows = pos[token_rows.take(pos, mode="clip") == ids]
+    if not len(rows):
+        return empty, empty
+    offsets = graph.offsets
+    edges = graph.edges
+    # Python-int bounds make plain slices, cheaper than numpy-scalar ones;
+    # offsets[1:][rows] is offsets[rows + 1] without the addition.
+    slices = [
+        edges[start:stop]
+        for start, stop in zip(offsets[rows].tolist(), offsets[1:][rows].tolist())
+    ]
     # concatenate always copies, so sorting in place never touches the model.
     gathered = np.concatenate(slices)
     gathered.sort()

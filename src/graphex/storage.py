@@ -10,8 +10,17 @@ Layout (all integers little-endian):
 
 Strings are u32-length-prefixed UTF-8.  Numeric arrays are written as raw
 little-endian buffers so they can be rebuilt with ``np.frombuffer``
-without per-element work.  Serialization is deterministic: the same model
-always produces the same bytes.
+without per-element work.  Format version 2 zero-pads so that every array
+and every leaf graph block starts at a file offset that is a multiple of
+8; the reader works the padding out from the offset alone, and the
+arrays it returns are aligned.  Serialization is deterministic: the same
+model always produces the same bytes.
+
+Loading checks the header, the checksum and then the structure, so that
+a file whose checksum matches but whose contents are inconsistent fails
+here with :class:`MalformedModelError` instead of misranking or raising
+at query time.  Only the current format version is read; older files
+are rebuilt with ``graphex train``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
+_LEAF_HEADER_NBYTES = 8 + 4 + 4 + 4 + 8
+_ALIGN = 8
 
 
 class ModelFormatError(Exception):
@@ -53,13 +64,28 @@ class ChecksumError(ModelFormatError):
     pass
 
 
+class MalformedModelError(ModelFormatError):
+    """The checksum matches but the contents break the model's invariants."""
+
+
 def _check_u32(value: int, what: str) -> int:
     if value >= 1 << 32:
         raise ValueError(f"{what} too large for format version {FORMAT_VERSION}: {value}")
     return value
 
 
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise MalformedModelError(message)
+
+
+def _padded(nbytes: int) -> int:
+    return nbytes + -nbytes % _ALIGN
+
+
 class _Writer:
+    """Appends fields to a buffer that starts at file offset 0."""
+
     def __init__(self) -> None:
         self.buf = bytearray()
 
@@ -80,7 +106,11 @@ class _Writer:
         self.u32(len(raw))
         self.buf += raw
 
+    def align(self) -> None:
+        self.buf += bytes(-len(self.buf) % _ALIGN)
+
     def array(self, arr: np.ndarray, dtype: str) -> None:
+        self.align()
         self.buf += np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
@@ -113,52 +143,49 @@ class _Reader:
     def string(self) -> str:
         length = self.u32()
         start = self._take(length)
-        return self.data[start:start + length].decode("utf-8")
+        try:
+            return self.data[start:start + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedModelError(f"string at byte {start} is not UTF-8: {exc}") from None
+
+    def align(self) -> None:
+        self._take(-self.pos % _ALIGN)
 
     def array(self, count: int, dtype: str) -> np.ndarray:
+        self.align()
         itemsize = np.dtype(dtype).itemsize
         start = self._take(count * itemsize)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
 
-def _meta_section(model: Model) -> bytes:
-    w = _Writer()
+def _write_meta(w: _Writer, model: Model) -> None:
     w.string(model.meta_category)
     w.u8(int(model.orientation.search_higher_better))
     w.u8(int(model.orientation.recall_lower_better))
     w.u64(model.num_keyphrases)
     w.u32(len(model.leaf_graphs))
-    return bytes(w.buf)
 
-def _vocab_section(model: Model) -> bytes:
-    w = _Writer()
+def _write_vocab(w: _Writer, model: Model) -> None:
     surfaces = model.vocabulary.surfaces()
     w.u32(len(surfaces))
     for surface in surfaces:
         w.string(surface)
-    return bytes(w.buf)
 
-def _strings_section(model: Model) -> bytes:
-    w = _Writer()
+def _write_strings(w: _Writer, model: Model) -> None:
     w.u32(len(model.kp_texts))
     for text in model.kp_texts:
         w.string(text)
-    return bytes(w.buf)
 
-def _keyphrase_section(model: Model) -> bytes:
-    w = _Writer()
-    n = model.num_keyphrases
-    w.u32(n)
+def _write_keyphrases(w: _Writer, model: Model) -> None:
+    w.u32(model.num_keyphrases)
     w.u64(len(model.kp_token_ids))
     w.array(model.kp_text_ref, "<u4")
     w.array(model.kp_token_offsets, "<i8")
     w.array(model.kp_token_ids, "<u4")
     w.array(model.kp_search, "<f8")
     w.array(model.kp_recall, "<f8")
-    return bytes(w.buf)
 
-def _leaf_block(graph: LeafGraph) -> bytes:
-    w = _Writer()
+def _write_leaf_block(w: _Writer, graph: LeafGraph) -> None:
     w.i64(graph.leaf_category)
     w.u32(graph.kp_base)
     w.u32(graph.num_keyphrases)
@@ -167,42 +194,48 @@ def _leaf_block(graph: LeafGraph) -> bytes:
     w.array(graph.token_rows, "<u4")
     w.array(graph.offsets, "<i8")
     w.array(graph.edges, "<u4")
-    return bytes(w.buf)
 
-def _leaves_section(model: Model) -> bytes:
-    w = _Writer()
+def _write_leaves(w: _Writer, model: Model) -> None:
+    # Each leaf block starts on an 8-byte boundary, and so does the body
+    # end, so a block's size does not depend on where it lands.
     w.u32(len(model.leaf_graphs))
     for leaf_id in sorted(model.leaf_graphs):
-        w.buf += _leaf_block(model.leaf_graphs[leaf_id])
-    return bytes(w.buf)
+        w.align()
+        _write_leaf_block(w, model.leaf_graphs[leaf_id])
+    w.align()
 
 
 def leaf_block_nbytes(graph: LeafGraph) -> int:
-    """Serialized size of one leaf graph block, in bytes."""
+    """Serialized size of one leaf graph block, in bytes.
+
+    Includes the zero padding before each array and after the block, so
+    the sizes of all blocks add up to the leaf section minus its 8-byte
+    header (the leaf count and its padding).
+    """
     rows = graph.num_tokens
-    return 8 + 4 + 4 + 4 + 8 + 4 * rows + 8 * (rows + 1) + 4 * graph.num_edges
+    return (
+        _padded(_LEAF_HEADER_NBYTES)
+        + _padded(4 * rows)
+        + 8 * (rows + 1)
+        + _padded(4 * graph.num_edges)
+    )
 
 
 def to_bytes(model: Model) -> bytes:
     """Serialize ``model`` to the binary format (deterministic)."""
     _check_u32(model.num_keyphrases, "keyphrase count")
     _check_u32(len(model.vocabulary), "vocabulary size")
-    sections = [
-        _meta_section(model),
-        _vocab_section(model),
-        _strings_section(model),
-        _keyphrase_section(model),
-        _leaves_section(model),
-    ]
+    w = _Writer()
+    w.buf += bytes(_HEADER.size)  # filled in once the section offsets are known
     offsets = []
-    pos = _HEADER.size
-    for section in sections:
-        offsets.append(pos)
-        pos += len(section)
-    offsets.append(pos)  # body end == checksum offset
-    body = b"".join(sections)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, *offsets)
-    return header + body + _U32.pack(zlib.crc32(body))
+    for write in (_write_meta, _write_vocab, _write_strings, _write_keyphrases, _write_leaves):
+        offsets.append(len(w.buf))
+        write(w, model)
+    offsets.append(len(w.buf))  # body end == checksum offset
+    w.buf[:_HEADER.size] = _HEADER.pack(MAGIC, FORMAT_VERSION, *offsets)
+    crc = zlib.crc32(memoryview(w.buf)[_HEADER.size:])
+    w.buf += _U32.pack(crc)
+    return bytes(w.buf)
 
 
 def save(model: Model, path: str) -> int:
@@ -213,16 +246,73 @@ def save(model: Model, path: str) -> int:
     return len(data)
 
 
+def _check_keyphrases(
+    kp_text_ref: np.ndarray,
+    kp_token_offsets: np.ndarray,
+    kp_token_ids: np.ndarray,
+    num_strings: int,
+    num_tokens: int,
+) -> None:
+    _require(
+        kp_token_offsets[0] == 0
+        and kp_token_offsets[-1] == len(kp_token_ids)
+        and bool(np.all(kp_token_offsets[1:] >= kp_token_offsets[:-1])),
+        "keyphrase token offsets must rise from 0 to the token id count",
+    )
+    _require(
+        not len(kp_text_ref) or kp_text_ref.max() < num_strings,
+        f"keyphrase text reference outside the {num_strings}-entry string table",
+    )
+    _require(
+        not len(kp_token_ids) or kp_token_ids.max() < num_tokens,
+        f"keyphrase token id outside the {num_tokens}-token vocabulary",
+    )
+
+
+def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
+    """Whole-array checks that make every query on ``graph`` well defined."""
+    leaf = f"leaf {graph.leaf_category}"
+    rows, offsets, edges = graph.token_rows, graph.offsets, graph.edges
+    base, count = graph.kp_base, graph.num_keyphrases
+    _require(
+        bool(np.all(rows[1:] > rows[:-1])) and (not len(rows) or rows[-1] < num_tokens),
+        f"{leaf}: token rows must be strictly ascending vocabulary ids",
+    )
+    _require(
+        offsets[0] == 0 and offsets[-1] == len(edges)
+        and bool(np.all(offsets[1:] >= offsets[:-1])),
+        f"{leaf}: row offsets must rise from 0 to the edge count",
+    )
+    _require(
+        not len(edges) or (edges.min() >= base and edges.max() < base + count),
+        f"{leaf}: edge outside the leaf's keyphrase range [{base}, {base + count})",
+    )
+
+
+def _check_leaf_ranges(graphs: list[LeafGraph], num_keyphrases: int) -> None:
+    bases = np.array([g.kp_base for g in graphs], dtype=np.int64)
+    counts = np.array([g.num_keyphrases for g in graphs], dtype=np.int64)
+    order = np.lexsort((counts, bases))
+    # Sorted by start, the ranges tile [0, num_keyphrases) exactly when
+    # each one starts where the previous one ends.
+    bounds = np.concatenate(([0], (bases + counts)[order]))
+    _require(
+        np.array_equal(bases[order], bounds[:-1]) and bounds[-1] == num_keyphrases,
+        "leaf keyphrase ranges overlap or do not cover all keyphrases",
+    )
+
+
 def from_bytes(data: bytes) -> Model:
-    """Parse a serialized model, validating magic, version, and checksum."""
+    """Parse a serialized model, validating magic, version, checksum and structure."""
     if len(data) < 4 or data[:4] != MAGIC:
         raise NotAModelFileError("missing GEX1 magic; not a model file")
     if len(data) < 8:
         raise TruncatedModelError("file too short to hold a version field")
     version = _U32.unpack_from(data, 4)[0]
     if version != FORMAT_VERSION:
+        hint = "; rebuild the model with graphex train" if version < FORMAT_VERSION else ""
         raise UnsupportedVersionError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})"
+            f"format version {version} not supported (expected {FORMAT_VERSION}){hint}"
         )
     if len(data) < _HEADER.size:
         raise TruncatedModelError("file too short to hold a model header")
@@ -235,7 +325,7 @@ def from_bytes(data: bytes) -> Model:
             f"file ends at byte {len(data)}, needed {body_end + 4}"
         )
     stored_crc = _U32.unpack_from(data, body_end)[0]
-    actual_crc = zlib.crc32(data[_HEADER.size:body_end])
+    actual_crc = zlib.crc32(memoryview(data)[_HEADER.size:body_end])
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"body checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
@@ -251,9 +341,12 @@ def from_bytes(data: bytes) -> Model:
     num_leaves = meta.u32()
 
     vocab_reader = _Reader(data, offsets[1])
-    vocabulary = Vocabulary.from_surfaces(
-        vocab_reader.string() for _ in range(vocab_reader.u32())
-    )
+    try:
+        vocabulary = Vocabulary.from_surfaces(
+            vocab_reader.string() for _ in range(vocab_reader.u32())
+        )
+    except ValueError as exc:
+        raise MalformedModelError(f"vocabulary: {exc}") from None
 
     strings_reader = _Reader(data, offsets[2])
     kp_texts = [strings_reader.string() for _ in range(strings_reader.u32())]
@@ -270,6 +363,7 @@ def from_bytes(data: bytes) -> Model:
     kp_token_ids = kp.array(total_token_ids, "<u4")
     kp_search = kp.array(n, "<f8")
     kp_recall = kp.array(n, "<f8")
+    _check_keyphrases(kp_text_ref, kp_token_offsets, kp_token_ids, len(kp_texts), len(vocabulary))
 
     leaves_reader = _Reader(data, offsets[4])
     leaf_count = leaves_reader.u32()
@@ -279,22 +373,24 @@ def from_bytes(data: bytes) -> Model:
         )
     leaf_graphs: dict[int, LeafGraph] = {}
     for _ in range(leaf_count):
+        leaves_reader.align()
         leaf_id = leaves_reader.i64()
         kp_base = leaves_reader.u32()
         num_kp = leaves_reader.u32()
         rows = leaves_reader.u32()
         edges = leaves_reader.u64()
-        token_rows = leaves_reader.array(rows, "<u4")
-        row_offsets = leaves_reader.array(rows + 1, "<i8")
-        edge_ids = leaves_reader.array(edges, "<u4")
-        leaf_graphs[leaf_id] = LeafGraph(
+        graph = LeafGraph(
             leaf_category=leaf_id,
-            token_rows=token_rows,
-            offsets=row_offsets,
-            edges=edge_ids,
+            token_rows=leaves_reader.array(rows, "<u4"),
+            offsets=leaves_reader.array(rows + 1, "<i8"),
+            edges=leaves_reader.array(edges, "<u4"),
             kp_base=kp_base,
             num_keyphrases=num_kp,
         )
+        _require(leaf_id not in leaf_graphs, f"leaf {leaf_id} appears twice")
+        _check_leaf(graph, len(vocabulary))
+        leaf_graphs[leaf_id] = graph
+    _check_leaf_ranges(list(leaf_graphs.values()), num_keyphrases)
 
     return Model(
         meta_category=meta_category,

@@ -139,9 +139,15 @@ class Vocabulary:
 
     @classmethod
     def from_surfaces(cls, surfaces: Iterable[str], frozen: bool = True) -> "Vocabulary":
-        """Rebuild a vocabulary from an id-ordered token list (deserialization)."""
+        """Rebuild a vocabulary from an id-ordered token list (deserialization).
+
+        Raises ``ValueError`` for a repeated token, which would shift the
+        id of every later one.
+        """
         vocab = cls()
         for token in surfaces:
+            if token in vocab:
+                raise ValueError(f"duplicate token {token!r}")
             vocab.intern(token)
         if frozen:
             vocab.freeze()

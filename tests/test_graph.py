@@ -44,6 +44,35 @@ def test_headphones_leaf_degrees_match_full_scan(headphones_dataset, headphones_
     assert len(graph.adjacency(10_000)) == 0
 
 
+def lookup_cases(rows: list[int]) -> list[int]:
+    """First, last, below, between and above the rows, plus ids outside uint32."""
+    cases = [rows[0], rows[-1], rows[0] - 1, rows[-1] + 1, -1, 2**32, 2**40, 2**32 + rows[0]]
+    cases += [a + 1 for a, b in zip(rows, rows[1:]) if b - a > 1][:5]
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_lookup_matches_a_dict_over_token_rows(seed):
+    rng = random.Random(seed)
+    dataset = make_dataset(rng, 60, vocab_size=30, leaf_ids=[1, 2, 3], min_len=1, max_len=4)
+    dataset.leaves[4] = dataset_of(("onlytoken", 4)).leaves[4]
+    model = build(dataset)
+    for leaf_id in model.leaf_categories:
+        graph = model.leaf(leaf_id)
+        rows = graph.token_rows.tolist()
+        expected = {token_id: row for row, token_id in enumerate(rows)}
+        for token_id in lookup_cases(rows):
+            row = expected.get(token_id)
+            assert graph.row_of(token_id) == row, (leaf_id, token_id)
+            adjacency = graph.adjacency(token_id)
+            assert adjacency.dtype == graph.edges.dtype
+            if row is None:
+                assert len(adjacency) == 0
+            else:
+                assert adjacency.tolist() == graph.adjacency_row(row).tolist()
+    assert model.leaf(4).num_tokens == 1
+
+
 def test_headphones_leaf_stats_match_full_scan(headphones_dataset, headphones_model):
     texts = leaf_texts(headphones_dataset, 42)
     stats = degree_stats(headphones_model, 42)

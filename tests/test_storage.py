@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from graphex.graph import build
+from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
+from graphex.graph import LeafGraph, build
+from graphex.inference import Query, recommend
 from graphex.storage import (
     ChecksumError,
+    MalformedModelError,
     NotAModelFileError,
     TruncatedModelError,
     UnsupportedVersionError,
@@ -139,3 +144,227 @@ def test_leaf_block_nbytes_matches_serialized_growth():
     # File growth is dominated by the leaf block plus per-keyphrase tables.
     assert large_bytes > small_bytes
     assert leaf_block_nbytes(large.leaf(1)) > leaf_block_nbytes(small.leaf(1))
+
+
+# ---------------------------------------------------------------------------
+# Format version 2 layout, read back by a parser independent of storage.py.
+
+HEADER_SIZE = 56
+
+
+def section_offsets(buf):
+    return struct.unpack_from("<6Q", buf, 8)
+
+
+def parse_layout(buf):
+    """Array views (writable over a bytearray) and leaf block spans of a file.
+
+    Returns ``(arrays, leaves)``: ``arrays`` maps keyphrase array names to
+    ``(byte offset, view)``; ``leaves`` holds one dict per leaf block with
+    its ``start``, leaf id, where its ``kp_base`` field sits and its
+    arrays as ``(byte offset, view)``.
+    """
+    offsets = section_offsets(buf)
+    pos = offsets[3]
+
+    def take(count, dtype):
+        nonlocal pos
+        pos += -pos % 8
+        start = pos
+        pos += count * np.dtype(dtype).itemsize
+        return start, np.frombuffer(buf, dtype=dtype, count=count, offset=start)
+
+    n, total = struct.unpack_from("<IQ", buf, pos)
+    pos += 12
+    arrays = {}
+    for name, count, dtype in (("kp_text_ref", n, "<u4"), ("kp_token_offsets", n + 1, "<i8"),
+                               ("kp_token_ids", total, "<u4"), ("kp_search", n, "<f8"),
+                               ("kp_recall", n, "<f8")):
+        arrays[name] = take(count, dtype)
+    pos = offsets[4]
+    (leaf_count,) = struct.unpack_from("<I", buf, pos)
+    pos += 4
+    leaves = []
+    for _ in range(leaf_count):
+        pos += -pos % 8
+        start = pos
+        leaf_id, kp_base, num_kp, rows, edges = struct.unpack_from("<qIIIQ", buf, pos)
+        pos += 28
+        leaves.append({
+            "start": start, "leaf_id": leaf_id, "kp_base_at": start + 8,
+            "token_rows": take(rows, "<u4"), "offsets": take(rows + 1, "<i8"),
+            "edges": take(edges, "<u4"),
+        })
+    return arrays, leaves
+
+
+def reseal(buf) -> bytes:
+    """Recompute the body CRC after an edit, so only the edit is wrong."""
+    body_end = section_offsets(buf)[5]
+    struct.pack_into("<I", buf, body_end, zlib.crc32(bytes(buf[HEADER_SIZE:body_end])))
+    return bytes(buf)
+
+
+def model_of(*pairs):
+    rows = [RawKeyphraseRow(text, leaf, 1.0, 1.0) for text, leaf in pairs]
+    return build(curate(rows, orientation=COUNT_ORIENTATION))
+
+
+def test_every_loaded_array_is_aligned():
+    rng = random.Random(47)
+    model = build(make_dataset(rng, 200, vocab_size=45, leaf_ids=[1, 2, 3, 4, 5]))
+    data = to_bytes(model)
+    arrays, leaves = parse_layout(data)
+    starts = [start for start, _ in arrays.values()]
+    starts += [leaf[name][0] for leaf in leaves for name in ("token_rows", "offsets", "edges")]
+    assert all(start % 8 == 0 for start in starts)
+    assert all(leaf["start"] % 8 == 0 for leaf in leaves)
+    loaded = from_bytes(data)
+    loaded_arrays = [loaded.kp_text_ref, loaded.kp_token_offsets, loaded.kp_token_ids,
+                     loaded.kp_search, loaded.kp_recall]
+    for graph in loaded.leaf_graphs.values():
+        loaded_arrays += [graph.token_rows, graph.offsets, graph.edges]
+    assert all(arr.flags.aligned for arr in loaded_arrays)
+
+
+def test_leaf_block_nbytes_is_the_serialized_block_size():
+    rng = random.Random(53)
+    model = build(make_dataset(rng, 300, vocab_size=35, leaf_ids=list(range(9)),
+                               min_len=1, max_len=5))
+    data = to_bytes(model)
+    _, leaves = parse_layout(data)
+    leaf_start, body_end = section_offsets(data)[4], section_offsets(data)[5]
+    bounds = [leaf["start"] for leaf in leaves] + [body_end]
+    sizes = {leaf["leaf_id"]: stop - leaf["start"] for leaf, stop in zip(leaves, bounds[1:])}
+    assert sizes == {leaf_id: leaf_block_nbytes(model.leaf(leaf_id)) for leaf_id in sizes}
+    # Odd and even row and edge counts both occur, so padding is exercised.
+    assert {len(leaf["token_rows"][1]) % 2 for leaf in leaves} == {0, 1}
+    assert {len(leaf["edges"][1]) % 2 for leaf in leaves} == {0, 1}
+    # The leaf section header is the u32 leaf count padded to 8 bytes.
+    assert sum(sizes.values()) == body_end - leaf_start - 8
+
+
+def test_version_1_file_is_rejected_and_names_its_version(headphones_model):
+    data = bytearray(to_bytes(headphones_model))
+    data[4:8] = (1).to_bytes(4, "little")
+    with pytest.raises(UnsupportedVersionError) as excinfo:
+        from_bytes(bytes(data))
+    assert "version 1 " in str(excinfo.value)
+    assert "graphex train" in str(excinfo.value)
+
+
+def test_leaf_without_token_rows_loads_and_answers_empty():
+    model = model_of(("a b", 1))
+    model.leaf_graphs[2] = LeafGraph(
+        leaf_category=2,
+        token_rows=np.empty(0, dtype=np.uint32),
+        offsets=np.zeros(1, dtype=np.int64),
+        edges=np.empty(0, dtype=np.uint32),
+        kp_base=model.num_keyphrases,
+        num_keyphrases=0,
+    )
+    loaded = from_bytes(to_bytes(model))
+    for candidate in (model, loaded):
+        assert recommend(candidate, Query("a b", 2)) == []
+        assert candidate.leaf(2).row_of(0) is None
+        assert len(candidate.leaf(2).adjacency(0)) == 0
+        assert [p.keyphrase for p in recommend(candidate, Query("a b", 1))] == ["a b"]
+
+
+def drop_last_leaf(buf):
+    """Cut the last leaf block out of the file and fix every count."""
+    offsets = list(section_offsets(buf))
+    _, leaves = parse_layout(buf)
+    cut = leaves[-1]["start"]
+    out = bytearray(buf[:cut]) + bytearray(4)
+    offsets[5] = cut
+    struct.pack_into("<6Q", out, 8, *offsets)
+    for count_at in (offsets[1] - 4, offsets[4]):  # meta section and leaf section
+        struct.pack_into("<I", out, count_at, len(leaves) - 1)
+    return out
+
+
+def edit_first_leaf(name, index, value):
+    def edit(buf):
+        _, leaves = parse_layout(buf)
+        leaves[0][name][1][index] = value
+        return buf
+    return edit
+
+
+def edit_array(name, index, value):
+    def edit(buf):
+        arrays, _ = parse_layout(buf)
+        arrays[name][1][index] = value
+        return buf
+    return edit
+
+
+def edit_text(old: bytes, new: bytes):
+    def edit(buf):
+        at = bytes(buf).index(old)
+        buf[at:at + len(old)] = new
+        return buf
+    return edit
+
+
+def edit_second_leaf_to_overlap(buf):
+    _, leaves = parse_layout(buf)
+    second = leaves[1]
+    struct.pack_into("<I", buf, second["kp_base_at"], 0)
+    second["edges"][1][:] = 0
+    return buf
+
+
+def edit_second_leaf_id(buf):
+    _, leaves = parse_layout(buf)
+    struct.pack_into("<q", buf, leaves[1]["start"], leaves[0]["leaf_id"])
+    return buf
+
+
+# Each file is CRC-valid but breaks one invariant; before load checked
+# structure, every one of them loaded, and querying it raised or misranked.
+MALFORMED = {
+    "token rows not ascending": (
+        [("aa bb cc", 1)], edit_first_leaf("token_rows", 0, 1), "strictly ascending"),
+    "token row outside vocabulary": (
+        [("aa bb cc", 1)], edit_first_leaf("token_rows", 2, 3), "strictly ascending"),
+    "offsets do not start at 0": (
+        [("aa bb cc", 1)], edit_first_leaf("offsets", 0, 1), "row offsets"),
+    "offsets decrease": (
+        [("aa bb", 1), ("aa cc", 1)], edit_first_leaf("offsets", 2, 1), "row offsets"),
+    "offsets do not end at edge count": (
+        [("aa bb cc", 1)], edit_first_leaf("offsets", 3, 2), "row offsets"),
+    "edge outside leaf range": (
+        [("aa bb", 1), ("cc dd", 2)], edit_first_leaf("edges", 0, 1), "edge outside"),
+    "leaf ranges overlap": (
+        [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_to_overlap, "overlap"),
+    "leaf ranges leave keyphrases uncovered": (
+        [("aa bb", 1), ("aa bb", 2)], drop_last_leaf, "cover"),
+    "duplicate leaf id": (
+        [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_id, "appears twice"),
+    "keyphrase token offsets decrease": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_offsets", 1, 5), "token offsets"),
+    "keyphrase token offsets do not end at token count": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_offsets", 2, 3), "token offsets"),
+    "keyphrase text reference outside string table": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_text_ref", 1, 2), "string table"),
+    "keyphrase token id outside vocabulary": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_ids", 3, 4), "vocabulary"),
+    "duplicate vocabulary surface": (
+        [("aa ab", 1)], edit_text(b"\x02\x00\x00\x00ab", b"\x02\x00\x00\x00aa"), "duplicate"),
+    "vocabulary surface with whitespace": (
+        [("aa bb", 1)], edit_text(b"\x02\x00\x00\x00bb", b"\x02\x00\x00\x00b "), "whitespace"),
+    "vocabulary surface not UTF-8": (
+        [("aa bb", 1)], edit_text(b"\x02\x00\x00\x00bb", b"\x02\x00\x00\x00b\xff"), "UTF-8"),
+    "keyphrase text not UTF-8": (
+        [("aa bb", 1)], edit_text(b"aa bb", b"aa b\xff"), "UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_body_with_valid_checksum_fails_at_load(case):
+    pairs, edit, message = MALFORMED[case]
+    data = reseal(edit(bytearray(to_bytes(model_of(*pairs)))))
+    with pytest.raises(MalformedModelError, match=message):
+        from_bytes(data)

@@ -106,3 +106,9 @@ def test_from_surfaces_rebuilds_identical_table():
     assert clone.frozen
     assert clone.surfaces() == ["c", "a", "b"]
     assert clone.lookup("a") == 1
+
+
+def test_from_surfaces_rejects_a_repeated_token():
+    # A repeat would shift the id of every later token.
+    with pytest.raises(ValueError, match="duplicate token 'b'"):
+        Vocabulary.from_surfaces(["a", "b", "c", "b"])
