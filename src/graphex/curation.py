@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .vocab import DEFAULT_NORMALIZER, Normalizer, tokenize
+from .vocab import tokenize
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,6 @@ def curate(
     min_search: float | None = None,
     orientation: ScoreOrientation = COUNT_ORIENTATION,
     meta_category: str = "",
-    normalizer: Normalizer = DEFAULT_NORMALIZER,
 ) -> CuratedDataset:
     """Filter, deduplicate, and group rows by leaf category.
 
@@ -220,8 +219,8 @@ def curate(
     the filter.  Duplicate (keyphrase, leaf) pairs keep the row whose
     search score is best under the orientation; exact ties keep the first
     occurrence.  Keyphrase text is normalized through the shared
-    tokenizer, so graph construction and curation can never disagree on
-    token identity.
+    tokenizer, the one queries use, so graph construction, curation and
+    inference can never disagree on token identity.
     """
     stats = CurationStats()
     warnings: list[str] = []
@@ -231,7 +230,7 @@ def curate(
     best: dict[int, dict[str, tuple[float, CuratedKeyphrase]]] = {}
     for row in rows:
         stats.rows_in += 1
-        tokens = tokenize(row.keyphrase, normalizer)
+        tokens = tokenize(row.keyphrase)
         if not tokens:
             stats.dropped_empty += 1
             continue

@@ -150,7 +150,9 @@ class Model:
         self.leaf_graphs = leaf_graphs
         self.version = version
         # Unique token count per keyphrase, precomputed for the hot path.
-        self.kp_lengths = np.diff(kp_token_offsets).astype(np.int64)
+        # The offsets are int64 already; a copy would be one more
+        # keyphrase-sized temporary at load.
+        self.kp_lengths = np.diff(kp_token_offsets).astype(np.int64, copy=False)
 
     @property
     def num_keyphrases(self) -> int:

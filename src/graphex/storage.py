@@ -289,6 +289,29 @@ def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
     )
 
 
+# Edges counted per bincount call: bincount widens its input to intp, so
+# counting a whole big leaf at once would cost 8 bytes per edge.
+_COUNT_CHUNK = 1 << 16
+
+
+def _check_edge_counts(graph: LeafGraph, kp_token_offsets: np.ndarray) -> None:
+    """Each keyphrase has one edge per token, so overlaps never exceed lengths.
+
+    Runs after the range checks, which keep every edge inside the leaf's
+    keyphrase range and that range inside the keyphrase table.
+    """
+    base, count, edges = graph.kp_base, graph.num_keyphrases, graph.edges
+    counts = np.zeros(count, dtype=np.intp)
+    for start in range(0, len(edges), _COUNT_CHUNK):
+        counts += np.bincount(edges[start:start + _COUNT_CHUNK] - np.uint32(base),
+                              minlength=count)
+    lengths = kp_token_offsets[base + 1:base + count + 1] - kp_token_offsets[base:base + count]
+    _require(
+        np.array_equal(counts, lengths),
+        f"leaf {graph.leaf_category}: a keyphrase's edge count differs from its token count",
+    )
+
+
 def _check_leaf_ranges(graphs: list[LeafGraph], num_keyphrases: int) -> None:
     bases = np.array([g.kp_base for g in graphs], dtype=np.int64)
     counts = np.array([g.num_keyphrases for g in graphs], dtype=np.int64)
@@ -340,16 +363,13 @@ def from_bytes(data: bytes) -> Model:
     num_keyphrases = meta.u64()
     num_leaves = meta.u32()
 
+    # The structure is checked from the counts alone, before the vocabulary
+    # and string table are decoded, so the checks' temporaries are freed
+    # before the Python strings are made.
     vocab_reader = _Reader(data, offsets[1])
-    try:
-        vocabulary = Vocabulary.from_surfaces(
-            vocab_reader.string() for _ in range(vocab_reader.u32())
-        )
-    except ValueError as exc:
-        raise MalformedModelError(f"vocabulary: {exc}") from None
-
+    num_tokens = vocab_reader.u32()
     strings_reader = _Reader(data, offsets[2])
-    kp_texts = [strings_reader.string() for _ in range(strings_reader.u32())]
+    num_strings = strings_reader.u32()
 
     kp = _Reader(data, offsets[3])
     n = kp.u32()
@@ -363,7 +383,7 @@ def from_bytes(data: bytes) -> Model:
     kp_token_ids = kp.array(total_token_ids, "<u4")
     kp_search = kp.array(n, "<f8")
     kp_recall = kp.array(n, "<f8")
-    _check_keyphrases(kp_text_ref, kp_token_offsets, kp_token_ids, len(kp_texts), len(vocabulary))
+    _check_keyphrases(kp_text_ref, kp_token_offsets, kp_token_ids, num_strings, num_tokens)
 
     leaves_reader = _Reader(data, offsets[4])
     leaf_count = leaves_reader.u32()
@@ -388,9 +408,17 @@ def from_bytes(data: bytes) -> Model:
             num_keyphrases=num_kp,
         )
         _require(leaf_id not in leaf_graphs, f"leaf {leaf_id} appears twice")
-        _check_leaf(graph, len(vocabulary))
+        _check_leaf(graph, num_tokens)
         leaf_graphs[leaf_id] = graph
     _check_leaf_ranges(list(leaf_graphs.values()), num_keyphrases)
+    for graph in leaf_graphs.values():
+        _check_edge_counts(graph, kp_token_offsets)
+
+    try:
+        vocabulary = Vocabulary.from_surfaces(vocab_reader.string() for _ in range(num_tokens))
+    except ValueError as exc:
+        raise MalformedModelError(f"vocabulary: {exc}") from None
+    kp_texts = [strings_reader.string() for _ in range(num_strings)]
 
     return Model(
         meta_category=meta_category,

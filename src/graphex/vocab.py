@@ -23,6 +23,10 @@ def identity_stem(token: str) -> str:
 def _strip_edge_punct(token: str) -> str:
     # Strip leading/trailing Unicode punctuation (category P*) only;
     # interior punctuation ("o'neill", "usb-c") is part of the token.
+    # No alphanumeric code point is punctuation, so the common clean
+    # token returns at once.
+    if token.isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -61,6 +65,15 @@ def tokenize(text: str, normalizer: Normalizer = DEFAULT_NORMALIZER) -> list[str
     """
     text = unicodedata.normalize("NFC", text)
     out: list[str] = []
+    if normalizer is DEFAULT_NORMALIZER:
+        # The default policy inline: lowercase, strip edge punctuation.
+        for raw in text.split():
+            tok = raw.lower()
+            if not tok.isalnum():
+                tok = _strip_edge_punct(tok)
+            if tok:
+                out.append(tok)
+        return out
     for raw in text.split():
         tok = normalizer(raw)
         if tok:
@@ -113,7 +126,9 @@ class Vocabulary:
             raise RuntimeError("cannot intern into a frozen vocabulary")
         if not token:
             raise ValueError("cannot intern an empty token")
-        if any(ch.isspace() for ch in token):
+        # No alphanumeric code point is whitespace, so a clean token skips
+        # the scan.
+        if not token.isalnum() and any(ch.isspace() for ch in token):
             raise ValueError(f"token contains whitespace: {token!r}")
         existing = self._ids.get(token)
         if existing is not None:

@@ -7,7 +7,10 @@ vectorized scoring can be checked against a second opinion.
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
+import unicodedata
 from collections import Counter
 
 from graphex.curation import (
@@ -73,6 +76,31 @@ def brute_prune(pairs, k):
         if cumulative >= k:
             break
     return [item for item, count in pairs if count in kept_counts]
+
+
+@functools.cache
+def _punctuation_chars() -> frozenset[str]:
+    return frozenset(ch for ch in map(chr, range(sys.maxunicode + 1))
+                     if unicodedata.category(ch).startswith("P"))
+
+
+def brute_tokenize(text: str) -> list[str]:
+    """The default tokenizer policy, one character at a time.
+
+    NFC, whitespace split, lowercase, then punctuation (category P*)
+    peeled off each end of the token a character at a time.
+    """
+    punctuation = _punctuation_chars()
+    out = []
+    for raw in unicodedata.normalize("NFC", text).split():
+        chars = list(raw.lower())
+        while chars and chars[0] in punctuation:
+            chars.pop(0)
+        while chars and chars[-1] in punctuation:
+            chars.pop()
+        if chars:
+            out.append("".join(chars))
+    return out
 
 
 def brute_recommend(

@@ -9,6 +9,7 @@ import pytest
 from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
 from graphex.graph import UnknownLeafError, build
 from graphex.inference import (
+    _RANK_CHUNK,
     Alignment,
     BatchItem,
     Candidate,
@@ -415,3 +416,51 @@ def test_recommend_batch_starts_no_thread(headphones_model, monkeypatch):
     expected = recommend_batch(headphones_model, items, workers=1)
     for workers in (0, 2, 8):
         assert recommend_batch(headphones_model, items, workers=workers) == expected
+
+
+def _random_batch_item(
+    rng: random.Random, n: int, named_share: float, most_named: int
+) -> BatchItem:
+    leaf = rng.choice([1, 2, 3, 4, 99])  # 4 is the tied leaf, 99 is unknown
+    title = rng.choice([
+        make_title(rng, 30, rng.randint(1, 12)),
+        make_title(rng, 30, rng.randint(1, 12)),
+        "common " + make_title(rng, 30, rng.randint(0, 3)),
+        "",
+        "zz1 zz2 zz3",
+    ])
+    k = rng.choice([-1, 0, 1, 2, 5, 10, 40])
+    if rng.random() < named_share:
+        # On the tied leaf with k=1, the survivors are exactly the named
+        # x-keyphrases, so their number can land on either side of a cap.
+        named = rng.sample(range(120), rng.randint(1, most_named))
+        leaf, k, title = 4, 1, " ".join(["common"] + [f"x{i}" for i in named])
+    return BatchItem(f"i{n}", Query(title, leaf, k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recommend_batch_equals_recommend_per_item(seed):
+    rng = random.Random(900 + seed)
+    rows = make_rows(rng, 400, vocab_size=30, leaf_ids=[1, 2, 3], max_len=4, max_score=3)
+    model = build(curate(rows + _adversarial_rows(4, "tied"), orientation=COUNT_ORIENTATION))
+    # Chunks smaller and larger than the rank chunk; the last batch holds
+    # only small tied queries, so no segment is far above the cap.
+    batches = [(0, 0.3), (1, 0.3), (_RANK_CHUNK - 1, 0.3), (_RANK_CHUNK, 0.3),
+               (_RANK_CHUNK + 1, 0.3), (3 * _RANK_CHUNK + 5, 0.3), (rng.randint(2, 5), 0.3),
+               (2 * _RANK_CHUNK, 1.0)]
+    for size, named_share in batches:
+        align = rng.choice(list(Alignment))
+        max_predictions = rng.choice([None, -1, 0, 1, 2, 3, 40])
+        most_named = max(max_predictions or 4, 1) + 1
+        items = [_random_batch_item(rng, n, named_share, most_named) for n in range(size)]
+        results = recommend_batch(model, items, align=align, max_predictions=max_predictions)
+        assert [result.item_id for result in results] == [item.item_id for item in items]
+        for item, result in zip(items, results):
+            try:
+                expected = recommend(model, item.query, align=align,
+                                     max_predictions=max_predictions)
+            except (UnknownLeafError, ValueError) as exc:
+                assert (result.error, result.predictions) == (str(exc), [])
+            else:
+                assert result.error is None
+                assert result.predictions == expected

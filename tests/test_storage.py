@@ -337,6 +337,10 @@ MALFORMED = {
         [("aa bb cc", 1)], edit_first_leaf("offsets", 3, 2), "row offsets"),
     "edge outside leaf range": (
         [("aa bb", 1), ("cc dd", 2)], edit_first_leaf("edges", 0, 1), "edge outside"),
+    # Row bb's edge moves from "aa bb" to "aa cc": "aa cc" then overlaps a
+    # title on three tokens but has two, and its LTA score is infinite.
+    "keyphrase edge count differs from its token count": (
+        [("aa bb", 1), ("aa cc", 1)], edit_first_leaf("edges", 2, 1), "edge count"),
     "leaf ranges overlap": (
         [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_to_overlap, "overlap"),
     "leaf ranges leave keyphrases uncovered": (

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
+import unicodedata
 
 import pytest
 
 from graphex.vocab import Normalizer, Vocabulary, tokenize, unique_tokens
+
+from helpers import brute_tokenize
+
+EVERY_CHAR = [chr(code) for code in range(sys.maxunicode + 1)]
 
 
 def test_tokenize_lowercases_and_splits_whitespace_runs():
@@ -42,6 +48,35 @@ def test_tokenize_idempotent_on_random_strings():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+
+def _first_difference(got: list[str], expected: list[str]):
+    if len(got) != len(expected):
+        return f"{len(got)} tokens, expected {len(expected)}"
+    return next(((a, b) for a, b in zip(got, expected) if a != b), None)
+
+
+def test_tokenize_fast_path_matches_reference_for_every_code_point():
+    # Clean alphanumeric tokens skip edge stripping, and the default policy
+    # runs inline; both must agree with the per-character reference for
+    # every code point, alone and wrapped in punctuation.
+    bare = " ".join(EVERY_CHAR)
+    expected = brute_tokenize(bare)
+    assert _first_difference(tokenize(bare), expected) is None
+    assert _first_difference(tokenize(bare, Normalizer()), expected) is None
+    wrapped = " ".join(f"({ch}!" for ch in EVERY_CHAR)
+    assert _first_difference(tokenize(wrapped), brute_tokenize(wrapped)) is None
+
+
+def test_no_alphanumeric_code_point_is_punctuation_or_whitespace():
+    # The tokenizer's and Vocabulary.intern's fast paths rest on this.
+    assert [ch for ch in EVERY_CHAR if ch.isalnum()
+            and (ch.isspace() or unicodedata.category(ch).startswith("P"))] == []
+    vocab = Vocabulary()
+    for ch in EVERY_CHAR:
+        if ch.isspace():
+            with pytest.raises(ValueError, match="whitespace"):
+                vocab.intern(f"a{ch}b")
 
 
 def test_unique_tokens_keeps_first_occurrence_order():
