@@ -28,15 +28,9 @@ from .inference import (
     Candidate,
     Prediction,
     Query,
-    dedupe_and_count,
     enumerate_candidates,
-    jac,
-    lta,
-    prune_by_count_groups,
-    rank,
     recommend,
     recommend_batch,
-    wmr,
 )
 from .storage import (
     ChecksumError,
@@ -47,7 +41,7 @@ from .storage import (
     load,
     save,
 )
-from .vocab import Normalizer, Vocabulary, tokenize, unique_tokens
+from .vocab import Vocabulary, tokenize, unique_tokens
 
 __version__ = "0.1.0"
 
@@ -64,7 +58,6 @@ __all__ = [
     "LeafGraph",
     "Model",
     "ModelFormatError",
-    "Normalizer",
     "NotAModelFileError",
     "Prediction",
     "Query",
@@ -77,19 +70,13 @@ __all__ = [
     "Vocabulary",
     "build",
     "curate",
-    "dedupe_and_count",
     "degree_stats",
     "enumerate_candidates",
     "ingest",
-    "jac",
     "load",
-    "lta",
-    "prune_by_count_groups",
-    "rank",
     "recommend",
     "recommend_batch",
     "save",
     "tokenize",
     "unique_tokens",
-    "wmr",
 ]

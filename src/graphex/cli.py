@@ -117,7 +117,14 @@ def _read_items(path: str) -> Iterator[tuple[str, str | None, BatchItem | None]]
             yield item_id, None, BatchItem(item_id, Query(fields[1], leaf))
 
 
+def _check_limits(args: argparse.Namespace) -> None:
+    for flag, value in (("--k", args.k), ("--max-predictions", args.max_predictions)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
+    _check_limits(args)
     _require_file(args.model)
     _require_file(args.items)
     model = storage.load(args.model)
@@ -135,10 +142,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         rows.append({"item_id": item_id, "title": item.query.title})
         batch.append(BatchItem(item_id, query))
 
-    results = recommend_batch(
-        model, batch, align=align, workers=args.threads,
-        max_predictions=args.max_predictions,
-    )
+    results = recommend_batch(model, batch, align=align, max_predictions=args.max_predictions)
     for slot, result in zip(slots, results):
         rows[slot]["predictions"] = predictions_to_dicts(result.predictions)
         if result.error is not None:
@@ -280,6 +284,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    _check_limits(args)
     _require_file(args.model)
     model = storage.load(args.model)
     config = ServeConfig(
@@ -340,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--items", required=True, help="TSV: item_id, title, leaf_category")
     infer.add_argument("--k", type=int, default=DEFAULT_K)
     infer.add_argument("--align", choices=[a.value for a in Alignment], default="lta")
-    infer.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
     infer.add_argument("--max-predictions", type=int, default=DEFAULT_MAX_PREDICTIONS)
     infer.add_argument("--output", default="-", help="JSONL path, - for stdout")
     infer.set_defaults(func=cmd_infer)

@@ -11,7 +11,6 @@ the same curated dataset always produces the same model, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -30,21 +29,6 @@ class UnknownLeafError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown leaf category: {self.leaf_category}"
-
-
-@dataclass(frozen=True)
-class KeyphraseRecord:
-    """One keyphrase as stored in the model (scores in canonical form)."""
-
-    kp_id: int
-    text: str
-    token_ids: tuple[int, ...]
-    search: float
-    recall: float
-
-    @property
-    def length(self) -> int:
-        return len(self.token_ids)
 
 
 class LeafGraph:
@@ -170,23 +154,6 @@ class Model:
 
     def kp_text(self, kp_id: int) -> str:
         return self.kp_texts[int(self.kp_text_ref[kp_id])]
-
-    def keyphrase(self, kp_id: int) -> KeyphraseRecord:
-        if not 0 <= kp_id < self.num_keyphrases:
-            raise IndexError(f"keyphrase id out of range: {kp_id}")
-        start, stop = self.kp_token_offsets[kp_id], self.kp_token_offsets[kp_id + 1]
-        return KeyphraseRecord(
-            kp_id=kp_id,
-            text=self.kp_text(kp_id),
-            token_ids=tuple(int(t) for t in self.kp_token_ids[start:stop]),
-            search=float(self.kp_search[kp_id]),
-            recall=float(self.kp_recall[kp_id]),
-        )
-
-    def keyphrases_in_leaf(self, leaf_category: int) -> Iterable[KeyphraseRecord]:
-        graph = self.leaf(leaf_category)
-        for kp_id in range(graph.kp_base, graph.kp_base + graph.num_keyphrases):
-            yield self.keyphrase(kp_id)
 
 
 def degree_stats(model: Model, leaf_category: int) -> DegreeStats:

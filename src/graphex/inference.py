@@ -9,17 +9,18 @@ the gathered edges and measures runs of equal ids, so a query costs
 O(E log E) in the E edges its title tokens gather, independent of how
 many keyphrases the leaf holds.
 
-The work splits in two stages.  ``_candidates`` gathers, counts and
-prunes, one query at a time.  ``_rank`` scores and orders the survivors
-of several queries in one vectorized pass: :func:`recommend` ranks one
-query, and :func:`recommend_batch` ranks fixed-size chunks of items, so a
-batch pays the fixed cost of the ranking's numpy calls once per chunk
-rather than once per item.
+One vectorized pipeline serves every caller, in two stages.
+``_candidates`` gathers, counts and prunes, one query at a time.
+``_rank`` scores and orders the survivors of several queries in one
+pass: :func:`recommend` ranks one query, and :func:`recommend_batch`
+ranks fixed-size chunks of items, so a batch pays the fixed cost of the
+ranking's numpy calls once per chunk rather than once per item.
+:func:`enumerate_candidates` shows the first stage's counts and scores
+before pruning.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -34,56 +35,20 @@ DEFAULT_K = 10
 DEFAULT_MAX_PREDICTIONS = 40
 
 
-def _check_common(common: int, label_len: int) -> None:
-    if not 1 <= common <= label_len:
-        raise ValueError(
-            f"common token count must satisfy 1 <= common <= label length, "
-            f"got common={common}, label length={label_len}"
-        )
-
-
-def lta(common: int, label_len: int) -> float:
-    """Linear token alignment: ``common / (label_len - common + 1)``.
-
-    Grows faster than linearly as the overlap approaches the full
-    keyphrase, so fully matched keyphrases dominate partially matched
-    longer ones.
-    """
-    _check_common(common, label_len)
-    return common / (label_len - common + 1)
-
-
-def wmr(common: int, label_len: int) -> float:
-    """Word match ratio: ``common / label_len``."""
-    _check_common(common, label_len)
-    return common / label_len
-
-
-def jac(common: int, label_len: int, title_len: int) -> float:
-    """Jaccard overlap between title and keyphrase token sets."""
-    _check_common(common, label_len)
-    if common > title_len:
-        raise ValueError(
-            f"common token count {common} exceeds title length {title_len}"
-        )
-    return common / (label_len + title_len - common)
-
-
 class Alignment(Enum):
-    """Selectable alignment function."""
+    """Selectable alignment function.
+
+    With overlap ``c``, keyphrase length ``|l|`` and title length ``|t|``:
+    LTA, linear token alignment, is ``c / (|l| - c + 1)``: it grows faster
+    than linearly as the overlap approaches the full keyphrase, so fully
+    matched keyphrases dominate partially matched longer ones.  WMR, word
+    match ratio, is ``c / |l|``.  JAC is the Jaccard overlap of the token
+    sets, ``c / (|l| + |t| - c)``.
+    """
 
     LTA = "lta"
     WMR = "wmr"
     JAC = "jac"
-
-    def score(self, common: int, label_len: int, title_len: int | None = None) -> float:
-        if self is Alignment.LTA:
-            return lta(common, label_len)
-        if self is Alignment.WMR:
-            return wmr(common, label_len)
-        if title_len is None:
-            raise ValueError("title length is required for the jac alignment")
-        return jac(common, label_len, title_len)
 
     def score_array(
         self, common: np.ndarray, label_len: np.ndarray, title_len: float | np.ndarray
@@ -98,27 +63,6 @@ class Alignment(Enum):
         return common / (label_len + title_len - common)
 
 
-def dedupe_and_count(items: Sequence[int]) -> list[tuple[int, int]]:
-    """Collapse a stream of non-negative ids to (id, count) pairs.
-
-    Counting uses a dense array indexed by id, not sorting, and the pairs
-    come back in first-occurrence order.
-    """
-    if not items:
-        return []
-    top = max(items)
-    bottom = min(items)
-    if bottom < 0:
-        raise ValueError(f"ids must be non-negative, got {bottom}")
-    counts = [0] * (top + 1)
-    order: list[int] = []
-    for item in items:
-        if counts[item] == 0:
-            order.append(item)
-        counts[item] += 1
-    return [(item, counts[item]) for item in order]
-
-
 @dataclass(frozen=True)
 class Query:
     title: str
@@ -130,9 +74,8 @@ class Query:
 class Candidate:
     """A keyphrase that shares at least one token with the title.
 
-    ``search`` and ``recall`` are in canonical orientation (larger search
-    better, smaller recall better); raw values are restored when
-    predictions are materialized.
+    ``search`` and ``recall`` are in the model's canonical orientation
+    (larger search better, smaller recall better).
     """
 
     kp_id: int
@@ -141,12 +84,8 @@ class Candidate:
     search: float
     recall: float
 
-    def sort_key(self) -> tuple[float, float, float, int]:
-        """Total-order key: align desc, search desc, recall asc, id asc."""
-        return (-self.align, -self.search, self.recall, self.kp_id)
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prediction:
     """One ranked recommendation with scores in their raw convention."""
 
@@ -160,64 +99,25 @@ class Prediction:
 def enumerate_candidates(
     model: Model, query: Query, align: Alignment = Alignment.LTA
 ) -> list[Candidate]:
-    """Reference candidate generator (plain Python, first-occurrence order).
+    """Every keyphrase sharing a title token, scored, in ascending id order.
 
-    :func:`recommend` computes the same set with vectorized counting; this
-    form exists for clarity and as a cross-check.
+    The counts and scores :func:`recommend` ranks, before its
+    ``min_common_tokens`` filter and count-group pruning.
     """
-    graph = model.leaf(query.leaf_category)
     tokens = unique_tokens(tokenize(query.title))
-    title_len = len(tokens)
-    gathered: list[int] = []
-    for token in tokens:
-        token_id = model.vocabulary.lookup(token)
-        if token_id is None:
-            continue
-        gathered.extend(int(kp) for kp in graph.adjacency(token_id))
-    out: list[Candidate] = []
-    for kp_id, common in dedupe_and_count(gathered):
-        label_len = int(model.kp_lengths[kp_id])
-        out.append(
-            Candidate(
-                kp_id=kp_id,
-                common=common,
-                align=align.score(common, label_len, title_len),
-                search=float(model.kp_search[kp_id]),
-                recall=float(model.kp_recall[kp_id]),
-            )
-        )
-    return out
-
-
-def prune_by_count_groups(candidates: Sequence[Candidate], k: int) -> list[Candidate]:
-    """Keep whole overlap-count groups, highest counts first, until >= k.
-
-    Candidates are grouped by their raw common-token count; groups are
-    taken in descending count order until the cumulative size reaches
-    ``k``, and the threshold group is kept in full, so the result may hold
-    more than ``k`` entries.  Input order is preserved.  If there are
-    fewer than ``k`` candidates, all are kept.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(candidates) <= k:
-        return list(candidates)
-    sizes: dict[int, int] = {}
-    for cand in candidates:
-        sizes[cand.common] = sizes.get(cand.common, 0) + 1
-    kept = 0
-    cutoff = 0
-    for common in sorted(sizes, reverse=True):
-        kept += sizes[common]
-        cutoff = common
-        if kept >= k:
-            break
-    return [cand for cand in candidates if cand.common >= cutoff]
+    kp_ids, counts = _gather_counts(model, model.leaf(query.leaf_category), tokens)
+    scores = align.score_array(counts, model.kp_lengths[kp_ids], float(len(tokens)))
+    columns = (kp_ids, counts, scores, model.kp_search[kp_ids], model.kp_recall[kp_ids])
+    return [Candidate(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _prune_cutoff(counts: np.ndarray, k: int) -> int:
-    """Smallest common-token count whose group is still kept (array form).
+    """Smallest common-token count whose group is still kept.
 
+    Candidates are grouped by their common-token count; groups are taken
+    in descending count order until the cumulative size reaches ``k``,
+    and the threshold group is kept in full, so more than ``k`` may
+    survive.  With ``k`` or fewer candidates all are kept (cutoff 0).
     Counts are bounded by the title length, so a histogram indexed by
     count replaces sorting: its reversed cumulative sum is the number of
     candidates kept at each cutoff, and empty groups never end the scan.
@@ -228,30 +128,6 @@ def _prune_cutoff(counts: np.ndarray, k: int) -> int:
         return 0
     cumulative = np.cumsum(np.bincount(counts)[::-1])
     return len(cumulative) - 1 - int(np.searchsorted(cumulative, k, side="left"))
-
-
-def rank(model: Model, candidates: Sequence[Candidate], limit: int | None = None) -> list[Prediction]:
-    """Order candidates by alignment with deterministic tie-breaks.
-
-    Ties on alignment prefer larger canonical search, then smaller
-    canonical recall, then smaller keyphrase id, making the order a total
-    one.  ``limit`` caps the output length; scores are reported in the raw
-    convention declared by the model's orientation.
-    """
-    ordered = sorted(candidates, key=Candidate.sort_key)
-    if limit is not None:
-        ordered = ordered[:limit]
-    orientation = model.orientation
-    return [
-        Prediction(
-            keyphrase=model.kp_text(cand.kp_id),
-            align=cand.align,
-            search=orientation.raw_search(cand.search),
-            recall=orientation.raw_recall(cand.recall),
-            position=position,
-        )
-        for position, cand in enumerate(ordered, start=1)
-    ]
 
 
 def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +200,8 @@ def _rank(
 ) -> list[list[Prediction]]:
     """Score and order the survivors of several queries in one pass.
 
+    A query's order is total: align descending, then canonical search
+    descending, canonical recall ascending and keyphrase id ascending.
     ``survivors`` holds one ``_candidates`` result per query.  Their
     arrays are concatenated into segments, one per query, and sorted with
     one ``lexsort`` whose first key is the segment, so each query's

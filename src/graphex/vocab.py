@@ -9,24 +9,12 @@ and frozen before inference.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
-
-Stemmer = Callable[[str], str]
-
-
-def identity_stem(token: str) -> str:
-    """Default stemmer: leaves the token unchanged."""
-    return token
+from typing import Iterable
 
 
 def _strip_edge_punct(token: str) -> str:
     # Strip leading/trailing Unicode punctuation (category P*) only;
     # interior punctuation ("o'neill", "usb-c") is part of the token.
-    # No alphanumeric code point is punctuation, so the common clean
-    # token returns at once.
-    if token.isalnum():
-        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -35,47 +23,21 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Per-token normalization policy applied after whitespace splitting."""
-
-    lowercase: bool = True
-    strip_edge_punct: bool = True
-    stemmer: Stemmer = identity_stem
-
-    def __call__(self, token: str) -> str:
-        if self.lowercase:
-            token = token.lower()
-        if self.strip_edge_punct:
-            token = _strip_edge_punct(token)
-        if token:
-            token = self.stemmer(token)
-        return token
-
-
-DEFAULT_NORMALIZER = Normalizer()
-
-
-def tokenize(text: str, normalizer: Normalizer = DEFAULT_NORMALIZER) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split ``text`` into normalized tokens.
 
-    The input is NFC-normalized, split on runs of whitespace, and each
-    piece is passed through ``normalizer``.  Pieces that normalize to the
-    empty string are dropped, so the result never contains empties.
+    The input is NFC-normalized and split on runs of whitespace; each
+    piece is lowercased and stripped of edge punctuation.  Pieces that
+    normalize to the empty string are dropped, so the result never
+    contains empties.
     """
-    text = unicodedata.normalize("NFC", text)
     out: list[str] = []
-    if normalizer is DEFAULT_NORMALIZER:
-        # The default policy inline: lowercase, strip edge punctuation.
-        for raw in text.split():
-            tok = raw.lower()
-            if not tok.isalnum():
-                tok = _strip_edge_punct(tok)
-            if tok:
-                out.append(tok)
-        return out
-    for raw in text.split():
-        tok = normalizer(raw)
+    for raw in unicodedata.normalize("NFC", text).split():
+        tok = raw.lower()
+        # No alphanumeric code point is punctuation, so a clean token
+        # skips the per-character scan.
+        if not tok.isalnum():
+            tok = _strip_edge_punct(tok)
         if tok:
             out.append(tok)
     return out

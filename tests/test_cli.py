@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graphex import storage
+from graphex import cli, storage
 from graphex.cli import main
 
 from conftest import HEADPHONES_TSV, HEADPHONES_TITLE
@@ -117,18 +117,23 @@ def test_infer_writes_expected_jsonl(model_path, tmp_path):
     assert "columns" in rows[3]["error"]
 
 
-def test_infer_threads_do_not_change_output(model_path, tmp_path):
+@pytest.mark.parametrize("command", ["infer", "serve"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "0"), ("--k", "-1"), ("--max-predictions", "0"), ("--max-predictions", "-3")],
+)
+def test_nonpositive_k_or_max_predictions_exit_2_before_loading(
+    command, flag, value, model_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(storage, "load", lambda path: pytest.fail("model loaded"))
+    monkeypatch.setattr(cli, "serve", lambda config, model: pytest.fail("server started"))
     items = tmp_path / "items.tsv"
-    items.write_text(
-        "".join(f"i{n}\taudeze wireless headphones\t42\n" for n in range(30))
-    )
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"preds{threads}.jsonl"
-        assert main(["infer", "--model", model_path, "--items", str(items),
-                     "--threads", threads, "--output", str(out)]) == 0
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
+    items.write_text(f"i1\t{HEADPHONES_TITLE}\t42\n")
+    extra = ["--items", str(items), "--output", str(tmp_path / "out.jsonl")]
+    code = main([command, "--model", model_path, *(extra if command == "infer" else []),
+                 flag, value])
+    assert code == 2
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_infer_missing_model_exits_2(tmp_path, capsys):

@@ -305,6 +305,24 @@ def test_compute_metrics_hand_checked_values():
     assert m_ours.exclusive_ratio_vs_baseline is None
 
 
+def test_exclusive_ratio_divides_the_baseline_by_the_run():
+    # Every prediction is relevant and u6..u10 are head.  Exclusive head
+    # keyphrases: ours has u6 on i1 (0.5 per item), base has u7 on i1 and
+    # u8 on i2 (1.0 per item).  The ratio is baseline / run, the inverse
+    # of rrr and rhr, which are run / baseline.
+    ours = run_of("ours", {"i1": [("u10", 10.0), ("u6", 6.0)], "i2": [("u9", 9.0)]})
+    base = run_of("base", {"i1": [("u10", 10.0), ("u7", 7.0)], "i2": [("u8", 8.0), ("u9", 9.0)]})
+    verdicts = {(item.item_id, p.keyphrase): True
+                for run in (ours, base) for item in run.items for p in item.predictions}
+    threshold = head_threshold([(f"u{i}", float(i)) for i in range(1, 11)], percentile=50.0)
+    report = compute_metrics([ours, base], dict_to_judgments(verdicts), threshold, "base")
+    m_ours, m_base = report.models["ours"], report.models["base"]
+    assert (m_ours.exclusive_avg, m_base.exclusive_avg) == (0.5, 1.0)
+    assert m_ours.exclusive_ratio_vs_baseline == 2.0
+    assert m_base.exclusive_ratio_vs_baseline == 1.0
+    assert m_ours.rrr_vs_baseline == 0.75  # 1.5 relevant per item against 2.0
+
+
 def dict_to_judgments(verdicts):
     from graphex.evaluation import Judgment
 

@@ -97,8 +97,7 @@ def test_duplicate_tokens_inside_keyphrase_produce_one_edge():
     model = build(dataset_of(("spare spare tire", 3)))
     graph = model.leaf(3)
     assert graph.num_edges == 2
-    record = model.keyphrase(0)
-    assert len(record.token_ids) == 2
+    assert model.kp_lengths.tolist() == [2]
 
 
 def test_leaves_are_isolated_but_share_string_and_token_tables():
@@ -211,9 +210,9 @@ def test_build_empty_dataset_yields_model_with_no_leaves():
 
 
 def test_keyphrase_record_exposes_scores_in_canonical_form(headphones_model):
-    record = next(iter(headphones_model.keyphrases_in_leaf(42)))
-    assert record.text == "audeze headphones"
+    kp_id = headphones_model.leaf(42).kp_base
+    assert headphones_model.kp_text(kp_id) == "audeze headphones"
     # Rank orientation: canonical search negates the raw rank.
-    assert record.search == -3.0
-    assert record.recall == -3.0
-    assert record.length == 2
+    assert headphones_model.kp_search[kp_id] == -3.0
+    assert headphones_model.kp_recall[kp_id] == -3.0
+    assert headphones_model.kp_lengths[kp_id] == 2

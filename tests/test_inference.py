@@ -6,28 +6,20 @@ import threading
 import numpy as np
 import pytest
 
-from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
+from graphex.curation import COUNT_ORIENTATION, RANK_ORIENTATION, RawKeyphraseRow, curate
 from graphex.graph import UnknownLeafError, build
 from graphex.inference import (
     _RANK_CHUNK,
     Alignment,
     BatchItem,
-    Candidate,
     Query,
     _prune_cutoff,
-    dedupe_and_count,
     enumerate_candidates,
-    jac,
-    lta,
-    prune_by_count_groups,
-    rank,
     recommend,
     recommend_batch,
-    wmr,
 )
 
 from helpers import (
-    brute_dedupe_count,
     brute_prune,
     brute_recommend,
     make_dataset,
@@ -39,86 +31,51 @@ from helpers import (
 from conftest import HEADPHONES_LEAF, HEADPHONES_TITLE
 
 
+def scores(align, common, label_len, title_len=0.0):
+    return align.score_array(np.array(common), np.array(label_len), title_len).tolist()
+
+
 def test_lta_values():
-    assert lta(2, 2) == 2.0
-    assert lta(2, 3) == 1.0
-    assert lta(1, 3) == pytest.approx(1 / 3)
-    assert lta(5, 5) == 5.0
+    assert scores(Alignment.LTA, [2, 2, 1, 5], [2, 3, 3, 5]) == [
+        2.0, 1.0, pytest.approx(1 / 3), 5.0,
+    ]
 
 
 def test_wmr_values():
-    assert wmr(2, 2) == 1.0
-    assert wmr(2, 3) == pytest.approx(2 / 3)
-    assert wmr(4, 5) == 0.8
+    assert scores(Alignment.WMR, [2, 2, 4], [2, 3, 5]) == [1.0, pytest.approx(2 / 3), 0.8]
 
 
 def test_jac_values():
-    assert jac(2, 3, 6) == pytest.approx(2 / 7)
-    assert jac(3, 3, 3) == 1.0
-
-
-def test_alignment_preconditions():
-    for fn in (lta, wmr):
-        with pytest.raises(ValueError):
-            fn(0, 3)
-        with pytest.raises(ValueError):
-            fn(4, 3)
-    with pytest.raises(ValueError):
-        jac(0, 3, 5)
-    with pytest.raises(ValueError):
-        jac(4, 3, 3)
-    with pytest.raises(ValueError):
-        Alignment.JAC.score(2, 3)
+    title_len = np.array([6.0, 3.0])
+    assert scores(Alignment.JAC, [2, 3], [3, 3], title_len) == [pytest.approx(2 / 7), 1.0]
 
 
 def test_alignment_enum_dispatch():
-    assert Alignment.LTA.score(2, 3) == lta(2, 3)
-    assert Alignment.WMR.score(2, 3) == wmr(2, 3)
-    assert Alignment.JAC.score(2, 3, 6) == jac(2, 3, 6)
+    assert [scores(align, [2], [3], 6.0) for align in Alignment] == [[1.0], [2 / 3], [2 / 7]]
     assert Alignment("lta") is Alignment.LTA
 
 
-def test_dedupe_and_count_examples():
-    assert dedupe_and_count([5, 7, 5]) == [(5, 2), (7, 1)]
-    assert dedupe_and_count([]) == []
-    assert dedupe_and_count([3]) == [(3, 1)]
-
-
-def test_dedupe_and_count_rejects_negative_ids():
-    with pytest.raises(ValueError):
-        dedupe_and_count([1, -2, 3])
-
-
-def test_dedupe_and_count_matches_dict_reference():
-    rng = random.Random(5)
-    for _ in range(200):
-        items = [rng.randint(0, 30) for _ in range(rng.randint(0, 60))]
-        assert dedupe_and_count(items) == brute_dedupe_count(items)
-
-
-def cands(counts):
-    return [Candidate(kp_id=i, common=c, align=0.0, search=0.0, recall=0.0)
-            for i, c in enumerate(counts)]
+def pruned(counts, k):
+    """Indices of the counts the prune cutoff keeps."""
+    cutoff = _prune_cutoff(np.asarray(counts, dtype=np.int64), k)
+    return [i for i, c in enumerate(counts) if c >= cutoff]
 
 
 def test_prune_takes_whole_threshold_group():
-    kept = prune_by_count_groups(cands([3, 2, 2, 2, 1]), k=3)
-    assert [c.common for c in kept] == [3, 2, 2, 2]
+    assert pruned([3, 2, 2, 2, 1], k=3) == [0, 1, 2, 3]
 
 
 def test_prune_can_exceed_k_substantially():
-    kept = prune_by_count_groups(cands([2, 2, 2]), k=1)
-    assert len(kept) == 3
+    assert len(pruned([2, 2, 2], k=1)) == 3
 
 
 def test_prune_keeps_all_when_under_k():
-    kept = prune_by_count_groups(cands([1, 2]), k=10)
-    assert len(kept) == 2
+    assert len(pruned([1, 2], k=10)) == 2
 
 
 def test_prune_rejects_bad_k():
     with pytest.raises(ValueError):
-        prune_by_count_groups(cands([1]), k=0)
+        pruned([1], k=0)
 
 
 def test_prune_matches_reference_on_random_inputs():
@@ -126,66 +83,57 @@ def test_prune_matches_reference_on_random_inputs():
     for _ in range(300):
         counts = [rng.randint(1, 8) for _ in range(rng.randint(0, 40))]
         k = rng.randint(1, 15)
-        kept = prune_by_count_groups(cands(counts), k)
-        expected = brute_prune(list(enumerate(counts)), k)
-        assert [c.kp_id for c in kept] == expected
+        assert pruned(counts, k) == brute_prune(list(enumerate(counts)), k)
 
 
-def test_rank_orders_by_align_then_search_then_recall_then_id(headphones_model):
-    model = headphones_model
-    # Canonical orientation: larger search better, smaller recall better.
-    candidates = [
-        Candidate(kp_id=3, common=1, align=1.0, search=-5.0, recall=-1.0),
-        Candidate(kp_id=1, common=1, align=2.0, search=-9.0, recall=-9.0),
-        Candidate(kp_id=0, common=1, align=1.0, search=-2.0, recall=-3.0),
-        Candidate(kp_id=2, common=1, align=1.0, search=-2.0, recall=-9.0),
-    ]
-    ranked = rank(model, candidates)
+def model_of(*rows, orientation=RANK_ORIENTATION):
+    """One-leaf model from (text, raw search, raw recall) rows."""
+    rows = [RawKeyphraseRow(text, 1, search, recall) for text, search, recall in rows]
+    return build(curate(rows, orientation=orientation))
+
+
+def test_rank_orders_by_align_then_search_then_recall_then_id():
+    # Rank orientation, so canonical search and recall are the negated raw
+    # values.  For title "x y", LTA gives "x y" 2.0 and the rest 1.0.
+    model = model_of(
+        ("x y c", 5.0, 1.0), ("x y", 9.0, 9.0), ("x y a", 2.0, 3.0), ("x y b", 2.0, 9.0)
+    )
+    ranked = recommend(model, Query("x y", 1))
     assert [p.position for p in ranked] == [1, 2, 3, 4]
-    # align 2.0 first; then search -2.0 pair, recall -9.0 before -3.0; then -5.0.
+    assert [p.align for p in ranked] == [2.0, 1.0, 1.0, 1.0]
+    # align 2.0 first; then search 2.0 pair, recall 9.0 before 3.0; then 5.0.
     assert [p.search for p in ranked] == [9.0, 2.0, 2.0, 5.0]
     assert [p.recall for p in ranked] == [9.0, 9.0, 3.0, 1.0]
 
 
-def test_rank_falls_back_to_keyphrase_id_for_full_ties(headphones_model):
-    candidates = [
-        Candidate(kp_id=2, common=1, align=1.0, search=-1.0, recall=-1.0),
-        Candidate(kp_id=0, common=1, align=1.0, search=-1.0, recall=-1.0),
-        Candidate(kp_id=1, common=1, align=1.0, search=-1.0, recall=-1.0),
-    ]
-    ranked = rank(headphones_model, candidates)
-    texts = [headphones_model.kp_text(i) for i in range(3)]
+def test_rank_falls_back_to_keyphrase_id_for_full_ties():
+    model = model_of(("x c", 1.0, 1.0), ("x a", 1.0, 1.0), ("x b", 1.0, 1.0))
+    ranked = recommend(model, Query("x", 1))
+    texts = [model.kp_text(i) for i in range(3)]
     assert [p.keyphrase for p in ranked] == texts
 
 
-def test_rank_respects_limit(headphones_model):
-    candidates = cands([1, 1, 1, 1])
-    assert len(rank(headphones_model, candidates, limit=2)) == 2
+def test_rank_respects_limit():
+    model = model_of(*((f"x {c}", 1.0, 1.0) for c in "abcd"))
+    assert len(recommend(model, Query("x", 1), max_predictions=2)) == 2
 
 
 def test_sort_key_is_a_total_order():
-    rng = random.Random(31)
-    pool = [
-        Candidate(
-            kp_id=i,
-            common=1,
-            align=rng.choice([0.5, 1.0, 2.0]),
-            search=rng.choice([-3.0, -1.0, 2.0]),
-            recall=rng.choice([-2.0, 0.0, 1.0]),
-        )
-        for i in range(50)
-    ]
-    keys = [c.sort_key() for c in pool]
-    assert len(set(keys)) == len(keys)  # kp_id fallback forbids exact ties
-    for _ in range(200):
-        a, b, c = rng.sample(keys, 3)
-        if a <= b <= c:
-            assert a <= c
+    # Few distinct scores, so only the keyphrase id separates many
+    # predictions; the ranking must still order every pair strictly.
+    rows = _adversarial_rows(1, "tiebreak")
+    model = build(curate(rows, orientation=COUNT_ORIENTATION))
+    for align in Alignment:
+        preds = recommend(model, Query("t", 1, k=len(rows)), align=align, max_predictions=None)
+        assert len(preds) == len(rows)
+        keys = [(-p.align, -p.search, p.recall, p.keyphrase) for p in preds]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_candidates_counts_match_overlaps(headphones_model):
     out = enumerate_candidates(headphones_model, Query(HEADPHONES_TITLE, HEADPHONES_LEAF))
     by_text = {headphones_model.kp_text(c.kp_id): c.common for c in out}
+    assert [c.kp_id for c in out] == sorted(c.kp_id for c in out)
     assert by_text == {
         "audeze maxwell": 2,
         "gaming headphones xbox": 3,
@@ -317,6 +265,12 @@ def _adversarial_rows(leaf: int, kind: str) -> list[RawKeyphraseRow]:
         # One shared token, a distinct second token, equal scores: the
         # order falls through align, search and recall to the keyphrase id.
         return [RawKeyphraseRow(f"common x{i}", leaf, 7.0, 7.0) for i in range(120)]
+    elif kind == "tiebreak":
+        # Three keyphrase lengths and two values each of search and recall:
+        # align ties fall through to search, then recall, then the id.
+        texts = ["t"] + [f"t a{i}" for i in range(20)] + [f"t a{i} b{i}" for i in range(20)]
+        return [RawKeyphraseRow(text, leaf, float(rng.randint(0, 1)), float(rng.randint(0, 1)))
+                for text in texts]
     else:
         raise ValueError(kind)
     return [
@@ -339,6 +293,8 @@ def _adversarial_rows(leaf: int, kind: str) -> list[RawKeyphraseRow]:
         ("tied", "common", 10, 40, 1),
         ("tied", "common x5 x9", 2, 3, 1),
         ("tied", "common", 10, 40, 2),
+        ("tiebreak", "t", 50, 40, 1),
+        ("tiebreak", "t a3 b3 a5 a7", 2, 40, 1),
     ],
 )
 def test_recommend_matches_brute_force_on_adversarial_leaves(

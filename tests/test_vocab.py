@@ -6,7 +6,7 @@ import unicodedata
 
 import pytest
 
-from graphex.vocab import Normalizer, Vocabulary, tokenize, unique_tokens
+from graphex.vocab import Vocabulary, tokenize, unique_tokens
 
 from helpers import brute_tokenize
 
@@ -36,11 +36,6 @@ def test_tokenize_applies_nfc_normalization():
     assert tokenize(composed) == tokenize(decomposed)
 
 
-def test_tokenize_custom_stemmer_runs_after_cleanup():
-    chop = Normalizer(stemmer=lambda t: t.rstrip("s"))
-    assert tokenize("Headphones, cables", chop) == ["headphone", "cable"]
-
-
 def test_tokenize_idempotent_on_random_strings():
     rng = random.Random(7)
     alphabet = "abcXYZ09 .,!()'\t-é"
@@ -57,13 +52,12 @@ def _first_difference(got: list[str], expected: list[str]):
 
 
 def test_tokenize_fast_path_matches_reference_for_every_code_point():
-    # Clean alphanumeric tokens skip edge stripping, and the default policy
-    # runs inline; both must agree with the per-character reference for
-    # every code point, alone and wrapped in punctuation.
+    # Clean alphanumeric tokens skip edge stripping; the tokenizer must
+    # agree with the per-character reference for every code point, alone
+    # and wrapped in punctuation.
     bare = " ".join(EVERY_CHAR)
     expected = brute_tokenize(bare)
     assert _first_difference(tokenize(bare), expected) is None
-    assert _first_difference(tokenize(bare, Normalizer()), expected) is None
     wrapped = " ".join(f"({ch}!" for ch in EVERY_CHAR)
     assert _first_difference(tokenize(wrapped), brute_tokenize(wrapped)) is None
 
