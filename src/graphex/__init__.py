@@ -20,7 +20,7 @@ from .curation import (
     curate,
     ingest,
 )
-from .graph import DegreeStats, LeafGraph, Model, UnknownLeafError, build, degree_stats
+from .graph import LeafGraph, Model, UnknownLeafError, build
 from .inference import (
     Alignment,
     BatchItem,
@@ -53,7 +53,6 @@ __all__ = [
     "Candidate",
     "ChecksumError",
     "CuratedDataset",
-    "DegreeStats",
     "IngestReport",
     "LeafGraph",
     "Model",
@@ -70,7 +69,6 @@ __all__ = [
     "Vocabulary",
     "build",
     "curate",
-    "degree_stats",
     "enumerate_candidates",
     "ingest",
     "load",

@@ -17,7 +17,7 @@ import time
 from typing import IO, Iterator
 
 from . import curation, evaluation, storage
-from .graph import Model, build, degree_stats
+from .graph import Model, build
 from .inference import (
     DEFAULT_K,
     DEFAULT_MAX_PREDICTIONS,
@@ -285,6 +285,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     _check_limits(args)
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port must be 0-65535, got {args.port}")
     _require_file(args.model)
     model = storage.load(args.model)
     config = ServeConfig(
@@ -306,14 +308,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     total_edges = 0
     total_bytes = 0
     for leaf_id in model.leaf_categories:
-        stats = degree_stats(model, leaf_id)
         graph = model.leaf(leaf_id)
         nbytes = storage.leaf_block_nbytes(graph)
-        total_edges += stats.num_edges
+        total_edges += graph.num_edges
         total_bytes += nbytes
+        avg_degree = graph.num_edges / graph.num_tokens if graph.num_tokens else 0.0
         print(
-            f"leaf {leaf_id}: {graph.num_keyphrases} keyphrases, {stats.num_tokens} tokens, "
-            f"{stats.num_edges} edges, avg degree {stats.avg_degree:.2f}, {nbytes} bytes"
+            f"leaf {leaf_id}: {graph.num_keyphrases} keyphrases, {graph.num_tokens} tokens, "
+            f"{graph.num_edges} edges, avg degree {avg_degree:.2f}, {nbytes} bytes"
         )
     print(
         f"total: {len(model.leaf_graphs)} leaves, {len(model.vocabulary)} tokens, "

@@ -386,6 +386,13 @@ def _lookup(judgment_map: dict[tuple[str, str], bool], run: str, item_id: str, k
         ) from None
 
 
+def _search_volume(pred: RunPrediction, search_counts: dict[str, float] | None) -> float:
+    """Volume from ``search_counts`` when given (0 if absent), else the prediction's own."""
+    if search_counts is not None:
+        return search_counts.get(pred.keyphrase, 0.0)
+    return pred.search
+
+
 def _run_counts(
     run: ModelRun,
     judgment_map: dict[tuple[str, str], bool],
@@ -400,18 +407,17 @@ def _run_counts(
             if not _lookup(judgment_map, run.name, item.item_id, pred.keyphrase):
                 continue
             relevant += 1
-            volume = (
-                search_counts.get(pred.keyphrase, 0.0)
-                if search_counts is not None
-                else pred.search
-            )
-            if threshold.is_head(volume):
+            if threshold.is_head(_search_volume(pred, search_counts)):
                 head += 1
     return total, relevant, head
 
 
 def _ratio(numerator: float, denominator: float) -> float | None:
     return numerator / denominator if denominator else None
+
+
+def _per_item(count: float, n_items: int) -> float:
+    return count / n_items if n_items else 0.0
 
 
 @dataclass
@@ -488,11 +494,6 @@ def exclusive_diversity(
         for run in runs
     }
 
-    def volume(pred: RunPrediction) -> float:
-        if search_counts is not None:
-            return search_counts.get(pred.keyphrase, 0.0)
-        return pred.search
-
     out: dict[str, dict[str, int]] = {}
     for run in runs:
         per_item: dict[str, int] = {}
@@ -507,7 +508,7 @@ def exclusive_diversity(
                     continue
                 if not _lookup(judgment_map, run.name, item.item_id, pred.keyphrase):
                     continue
-                if threshold.is_head(volume(pred)):
+                if threshold.is_head(_search_volume(pred, search_counts)):
                     count += 1
             per_item[item.item_id] = count
         out[run.name] = per_item
@@ -528,10 +529,10 @@ def relative_ratios(
     """
     _, rel_a, head_a = _run_counts(run_a, judgment_map, threshold, search_counts)
     _, rel_b, head_b = _run_counts(run_b, judgment_map, threshold, search_counts)
-    avg = lambda value, run: value / len(run.items) if run.items else 0.0
+    n_a, n_b = len(run_a.items), len(run_b.items)
     return (
-        _ratio(avg(rel_a, run_a), avg(rel_b, run_b)),
-        _ratio(avg(head_a, run_a), avg(head_b, run_b)),
+        _ratio(_per_item(rel_a, n_a), _per_item(rel_b, n_b)),
+        _ratio(_per_item(head_a, n_a), _per_item(head_b, n_b)),
     )
 
 
@@ -581,8 +582,8 @@ def compute_metrics(
             head=head,
             rp=_ratio(relevant, total),
             hp=_ratio(head, total),
-            avg_relevant_per_item=relevant / n_items if n_items else 0.0,
-            avg_head_per_item=head / n_items if n_items else 0.0,
+            avg_relevant_per_item=_per_item(relevant, n_items),
+            avg_head_per_item=_per_item(head, n_items),
         )
 
     base = metrics[baseline]
@@ -596,7 +597,7 @@ def compute_metrics(
             per_item = exclusive[run.name]
             m = metrics[run.name]
             m.exclusive_per_item = per_item
-            m.exclusive_avg = sum(per_item.values()) / len(per_item) if per_item else 0.0
+            m.exclusive_avg = _per_item(sum(per_item.values()), len(per_item))
         base_avg = metrics[baseline].exclusive_avg or 0.0
         for m in metrics.values():
             m.exclusive_ratio_vs_baseline = _ratio(base_avg, m.exclusive_avg or 0.0)

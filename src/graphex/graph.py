@@ -10,14 +10,10 @@ the same curated dataset always produces the same model, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curation import CuratedDataset, ScoreOrientation
 from .vocab import Vocabulary
-
-FORMAT_VERSION = 2
 
 
 class UnknownLeafError(KeyError):
@@ -94,19 +90,13 @@ class LeafGraph:
         return self.adjacency_row(row)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    leaf_category: int
-    num_tokens: int
-    num_edges: int
-
-    @property
-    def avg_degree(self) -> float:
-        return self.num_edges / self.num_tokens if self.num_tokens else 0.0
-
-
 class Model:
-    """Immutable recommendation model: vocabulary, keyphrases, leaf graphs."""
+    """Immutable recommendation model: vocabulary, keyphrases, leaf graphs.
+
+    Keyphrase ``i`` has text ``kp_texts[kp_text_ref[i]]``, ``kp_lengths[i]``
+    unique tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``;
+    its tokens are the rows whose adjacency holds ``i`` in its leaf graph.
+    """
 
     def __init__(
         self,
@@ -115,28 +105,20 @@ class Model:
         vocabulary: Vocabulary,
         kp_texts: list[str],
         kp_text_ref: np.ndarray,
-        kp_token_offsets: np.ndarray,
-        kp_token_ids: np.ndarray,
+        kp_lengths: np.ndarray,
         kp_search: np.ndarray,
         kp_recall: np.ndarray,
         leaf_graphs: dict[int, LeafGraph],
-        version: int = FORMAT_VERSION,
     ) -> None:
         self.meta_category = meta_category
         self.orientation = orientation
         self.vocabulary = vocabulary
         self.kp_texts = kp_texts
         self.kp_text_ref = kp_text_ref
-        self.kp_token_offsets = kp_token_offsets
-        self.kp_token_ids = kp_token_ids
+        self.kp_lengths = kp_lengths
         self.kp_search = kp_search
         self.kp_recall = kp_recall
         self.leaf_graphs = leaf_graphs
-        self.version = version
-        # Unique token count per keyphrase, precomputed for the hot path.
-        # The offsets are int64 already; a copy would be one more
-        # keyphrase-sized temporary at load.
-        self.kp_lengths = np.diff(kp_token_offsets).astype(np.int64, copy=False)
 
     @property
     def num_keyphrases(self) -> int:
@@ -156,12 +138,6 @@ class Model:
         return self.kp_texts[int(self.kp_text_ref[kp_id])]
 
 
-def degree_stats(model: Model, leaf_category: int) -> DegreeStats:
-    """Token count, edge count for one leaf graph (unknown leaf raises)."""
-    graph = model.leaf(leaf_category)
-    return DegreeStats(leaf_category, graph.num_tokens, graph.num_edges)
-
-
 def build(dataset: CuratedDataset) -> Model:
     """Construct an immutable model from a curated dataset.
 
@@ -177,43 +153,34 @@ def build(dataset: CuratedDataset) -> Model:
     unique_texts = sorted({kp.text for leaf in leaf_ids for kp in dataset.leaves[leaf]})
     text_index = {text: i for i, text in enumerate(unique_texts)}
 
-    token_surfaces = sorted({tok for text in unique_texts for tok in text.split()})
-    vocabulary = Vocabulary()
-    for surface in token_surfaces:
-        vocabulary.intern(surface)
-    vocabulary.freeze()
+    vocabulary = Vocabulary(sorted({tok for text in unique_texts for tok in text.split()}))
+    lookup = vocabulary.lookup
 
     orientation = dataset.orientation
     text_refs: list[int] = []
+    lengths: list[int] = []
     searches: list[float] = []
     recalls: list[float] = []
-    token_offsets: list[int] = [0]
-    flat_token_ids: list[int] = []
     leaf_graphs: dict[int, LeafGraph] = {}
 
-    next_kp = 0
     for leaf_id in leaf_ids:
         group = sorted(dataset.leaves[leaf_id], key=lambda kp: kp.text)
-        kp_base = next_kp
+        kp_base = len(lengths)
         edge_tokens: list[int] = []
-        edge_lengths: list[int] = []
         for kp in group:
-            token_ids = sorted({vocabulary.lookup(tok) for tok in kp.text.split()})
+            token_ids = {lookup(tok) for tok in kp.text.split()}
             text_refs.append(text_index[kp.text])
+            lengths.append(len(token_ids))
             searches.append(orientation.canonical_search(kp.search_score))
             recalls.append(orientation.canonical_recall(kp.recall_score))
-            flat_token_ids.extend(token_ids)
-            token_offsets.append(len(flat_token_ids))
             edge_tokens.extend(token_ids)
-            edge_lengths.append(len(token_ids))
-        next_kp += len(group)
 
         # CSR for this leaf: sort (token, keyphrase) pairs by token then
         # keyphrase and slice rows out of the flat edge array.
         tok_col = np.asarray(edge_tokens, dtype=np.int64)
         kp_col = np.repeat(
-            np.arange(kp_base, next_kp, dtype=np.int64),
-            np.asarray(edge_lengths, dtype=np.int64),
+            np.arange(kp_base, len(lengths), dtype=np.int64),
+            np.asarray(lengths[kp_base:], dtype=np.int64),
         )
         order = np.lexsort((kp_col, tok_col))
         tok_col = tok_col[order]
@@ -236,8 +203,7 @@ def build(dataset: CuratedDataset) -> Model:
         vocabulary=vocabulary,
         kp_texts=unique_texts,
         kp_text_ref=np.asarray(text_refs, dtype=np.uint32),
-        kp_token_offsets=np.asarray(token_offsets, dtype=np.int64),
-        kp_token_ids=np.asarray(flat_token_ids, dtype=np.uint32),
+        kp_lengths=np.asarray(lengths, dtype=np.uint32),
         kp_search=np.asarray(searches, dtype=np.float64),
         kp_recall=np.asarray(recalls, dtype=np.float64),
         leaf_graphs=leaf_graphs,

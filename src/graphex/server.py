@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from . import storage
 from .graph import Model, UnknownLeafError
 from .inference import (
     DEFAULT_K,
@@ -123,7 +124,7 @@ class _Handler(BaseHTTPRequestHandler):
             {
                 "status": "ok",
                 "meta_category": model.meta_category,
-                "format_version": model.version,
+                "format_version": storage.FORMAT_VERSION,
                 "leaves": len(model.leaf_graphs),
                 "keyphrases": model.num_keyphrases,
             },

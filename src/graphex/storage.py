@@ -8,11 +8,13 @@ Layout (all integers little-endian):
 * body: the five sections, written back to back in that order.
 * footer: u32 CRC-32 of the body bytes.
 
-Strings are u32-length-prefixed UTF-8.  Numeric arrays are written as raw
-little-endian buffers so they can be rebuilt with ``np.frombuffer``
-without per-element work.  Format version 2 zero-pads so that every array
-and every leaf graph block starts at a file offset that is a multiple of
-8; the reader works the padding out from the offset alone, and the
+The vocabulary and the keyphrase string table are each a u32 entry
+count, a u64 byte length and one UTF-8 blob with ``\n`` after every entry;
+the meta category label is a u32-length-prefixed UTF-8 string.  Numeric
+arrays are written as raw little-endian buffers so they can be rebuilt
+with ``np.frombuffer`` without per-element work.  Every array and every
+leaf graph block starts at a file offset that is a multiple of 8 (zero
+padding); the reader works the padding out from the offset alone, and the
 arrays it returns are aligned.  Serialization is deterministic: the same
 model always produces the same bytes.
 
@@ -31,10 +33,11 @@ import zlib
 import numpy as np
 
 from .curation import ScoreOrientation
-from .graph import FORMAT_VERSION, LeafGraph, Model
+from .graph import LeafGraph, Model
 from .vocab import Vocabulary
 
 MAGIC = b"GEX1"
+FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sI6Q")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
@@ -42,6 +45,9 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _LEAF_HEADER_NBYTES = 8 + 4 + 4 + 4 + 8
 _ALIGN = 8
+# Bytes of a text table decoded at a time: one whole-table decode would
+# hold a second copy of the table at load.
+_DECODE_CHUNK = 1 << 20
 
 
 class ModelFormatError(Exception):
@@ -106,6 +112,14 @@ class _Writer:
         self.u32(len(raw))
         self.buf += raw
 
+    def text_table(self, entries: list[str], what: str) -> None:
+        blob = "\n".join([*entries, ""]).encode("utf-8")
+        if blob.count(b"\n") != len(entries):
+            raise ValueError(f"a {what} entry contains a newline")
+        self.u32(len(entries))
+        self.u64(len(blob))
+        self.buf += blob
+
     def align(self) -> None:
         self.buf += bytes(-len(self.buf) % _ALIGN)
 
@@ -148,6 +162,31 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise MalformedModelError(f"string at byte {start} is not UTF-8: {exc}") from None
 
+    def text_table(self, count: int, what: str) -> list[str]:
+        """The ``count`` entries of the text blob that starts here."""
+        nbytes = self.u64()
+        start = self._take(nbytes)
+        end = start + nbytes
+        data = self.data
+        _require(not nbytes or data[end - 1] == 0x0A, f"{what} does not end in a newline")
+        entries: list[str] = []
+        pos = start
+        while pos < end:
+            # Cut after the first newline from a chunk's length on.  No
+            # other UTF-8 sequence holds byte 0x0A, so no character splits.
+            cut = data.index(b"\n", min(pos + _DECODE_CHUNK, end) - 1) + 1
+            try:
+                parts = data[pos:cut].decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                raise MalformedModelError(
+                    f"{what} at byte {pos + exc.start} is not UTF-8: {exc.reason}"
+                ) from None
+            parts.pop()  # the empty string after the chunk's last newline
+            entries += parts
+            pos = cut
+        _require(len(entries) == count, f"{what} holds {len(entries)} entries, not {count}")
+        return entries
+
     def align(self) -> None:
         self._take(-self.pos % _ALIGN)
 
@@ -166,22 +205,15 @@ def _write_meta(w: _Writer, model: Model) -> None:
     w.u32(len(model.leaf_graphs))
 
 def _write_vocab(w: _Writer, model: Model) -> None:
-    surfaces = model.vocabulary.surfaces()
-    w.u32(len(surfaces))
-    for surface in surfaces:
-        w.string(surface)
+    w.text_table(model.vocabulary.surfaces(), "vocabulary")
 
 def _write_strings(w: _Writer, model: Model) -> None:
-    w.u32(len(model.kp_texts))
-    for text in model.kp_texts:
-        w.string(text)
+    w.text_table(model.kp_texts, "keyphrase string table")
 
 def _write_keyphrases(w: _Writer, model: Model) -> None:
     w.u32(model.num_keyphrases)
-    w.u64(len(model.kp_token_ids))
     w.array(model.kp_text_ref, "<u4")
-    w.array(model.kp_token_offsets, "<i8")
-    w.array(model.kp_token_ids, "<u4")
+    w.array(model.kp_lengths, "<u4")
     w.array(model.kp_search, "<f8")
     w.array(model.kp_recall, "<f8")
 
@@ -246,29 +278,6 @@ def save(model: Model, path: str) -> int:
     return len(data)
 
 
-def _check_keyphrases(
-    kp_text_ref: np.ndarray,
-    kp_token_offsets: np.ndarray,
-    kp_token_ids: np.ndarray,
-    num_strings: int,
-    num_tokens: int,
-) -> None:
-    _require(
-        kp_token_offsets[0] == 0
-        and kp_token_offsets[-1] == len(kp_token_ids)
-        and bool(np.all(kp_token_offsets[1:] >= kp_token_offsets[:-1])),
-        "keyphrase token offsets must rise from 0 to the token id count",
-    )
-    _require(
-        not len(kp_text_ref) or kp_text_ref.max() < num_strings,
-        f"keyphrase text reference outside the {num_strings}-entry string table",
-    )
-    _require(
-        not len(kp_token_ids) or kp_token_ids.max() < num_tokens,
-        f"keyphrase token id outside the {num_tokens}-token vocabulary",
-    )
-
-
 def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
     """Whole-array checks that make every query on ``graph`` well defined."""
     leaf = f"leaf {graph.leaf_category}"
@@ -294,7 +303,7 @@ def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
 _COUNT_CHUNK = 1 << 16
 
 
-def _check_edge_counts(graph: LeafGraph, kp_token_offsets: np.ndarray) -> None:
+def _check_edge_counts(graph: LeafGraph, kp_lengths: np.ndarray) -> None:
     """Each keyphrase has one edge per token, so overlaps never exceed lengths.
 
     Runs after the range checks, which keep every edge inside the leaf's
@@ -305,9 +314,8 @@ def _check_edge_counts(graph: LeafGraph, kp_token_offsets: np.ndarray) -> None:
     for start in range(0, len(edges), _COUNT_CHUNK):
         counts += np.bincount(edges[start:start + _COUNT_CHUNK] - np.uint32(base),
                               minlength=count)
-    lengths = kp_token_offsets[base + 1:base + count + 1] - kp_token_offsets[base:base + count]
     _require(
-        np.array_equal(counts, lengths),
+        np.array_equal(counts, kp_lengths[base:base + count]),
         f"leaf {graph.leaf_category}: a keyphrase's edge count differs from its token count",
     )
 
@@ -377,13 +385,14 @@ def from_bytes(data: bytes) -> Model:
         raise TruncatedModelError(
             f"keyphrase table holds {n} entries, meta section says {num_keyphrases}"
         )
-    total_token_ids = kp.u64()
     kp_text_ref = kp.array(n, "<u4")
-    kp_token_offsets = kp.array(n + 1, "<i8")
-    kp_token_ids = kp.array(total_token_ids, "<u4")
+    kp_lengths = kp.array(n, "<u4")
     kp_search = kp.array(n, "<f8")
     kp_recall = kp.array(n, "<f8")
-    _check_keyphrases(kp_text_ref, kp_token_offsets, kp_token_ids, num_strings, num_tokens)
+    _require(
+        not n or kp_text_ref.max() < num_strings,
+        f"keyphrase text reference outside the {num_strings}-entry string table",
+    )
 
     leaves_reader = _Reader(data, offsets[4])
     leaf_count = leaves_reader.u32()
@@ -412,13 +421,13 @@ def from_bytes(data: bytes) -> Model:
         leaf_graphs[leaf_id] = graph
     _check_leaf_ranges(list(leaf_graphs.values()), num_keyphrases)
     for graph in leaf_graphs.values():
-        _check_edge_counts(graph, kp_token_offsets)
+        _check_edge_counts(graph, kp_lengths)
 
     try:
-        vocabulary = Vocabulary.from_surfaces(vocab_reader.string() for _ in range(num_tokens))
+        vocabulary = Vocabulary(vocab_reader.text_table(num_tokens, "vocabulary"))
     except ValueError as exc:
         raise MalformedModelError(f"vocabulary: {exc}") from None
-    kp_texts = [strings_reader.string() for _ in range(num_strings)]
+    kp_texts = strings_reader.text_table(num_strings, "keyphrase string table")
 
     return Model(
         meta_category=meta_category,
@@ -426,12 +435,10 @@ def from_bytes(data: bytes) -> Model:
         vocabulary=vocabulary,
         kp_texts=kp_texts,
         kp_text_ref=kp_text_ref,
-        kp_token_offsets=kp_token_offsets,
-        kp_token_ids=kp_token_ids,
+        kp_lengths=kp_lengths,
         kp_search=kp_search,
         kp_recall=kp_recall,
         leaf_graphs=leaf_graphs,
-        version=version,
     )
 
 

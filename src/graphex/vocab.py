@@ -2,8 +2,7 @@
 
 Titles and keyphrases are compared as sets of normalized tokens, so the
 whole pipeline funnels through one tokenizer.  Token ids are dense ints
-handed out by a :class:`Vocabulary` that is mutable during model builds
-and frozen before inference.
+held by an immutable :class:`Vocabulary`.
 """
 
 from __future__ import annotations
@@ -49,60 +48,37 @@ def unique_tokens(tokens: Iterable[str]) -> list[str]:
 
 
 class Vocabulary:
-    """Bidirectional token <-> dense id table.
+    """Immutable token <-> dense id table.
 
-    Ids are assigned contiguously from 0 in insertion order.  The table is
-    mutable while a model is being built (single writer) and must be
-    frozen before it is shared with concurrent readers; after
-    :meth:`freeze`, lookups of unknown tokens return ``None`` instead of
-    allocating new ids.
+    A token's id is its position in the ``surfaces`` the table is built
+    from.  Tokens must be non-empty, contain no whitespace (they are
+    already tokenized) and appear once each; the constructor raises
+    ``ValueError`` otherwise.  Nothing changes after construction, so a
+    vocabulary can be shared across threads freely.
     """
 
-    __slots__ = ("_ids", "_surfaces", "_frozen")
+    __slots__ = ("_surfaces", "lookup")
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._surfaces: list[str] = []
-        self._frozen = False
+    def __init__(self, surfaces: Iterable[str]) -> None:
+        self._surfaces = list(surfaces)
+        ids = {token: i for i, token in enumerate(self._surfaces)}
+        for token in self._surfaces:
+            if not token:
+                raise ValueError("cannot intern an empty token")
+            # No alphanumeric code point is whitespace, so a clean token
+            # skips the scan.
+            if not token.isalnum() and any(ch.isspace() for ch in token):
+                raise ValueError(f"token contains whitespace: {token!r}")
+        if len(ids) != len(self._surfaces):
+            # A repeated token's dict entry holds its last position.
+            repeated = next(t for i, t in enumerate(self._surfaces) if ids[t] != i)
+            raise ValueError(f"duplicate token {repeated!r}")
+        # The id dict's own ``get``: ``lookup(token)`` returns the id, or
+        # ``None`` for an unknown token, with no Python frame per call.
+        self.lookup = ids.get
 
     def __len__(self) -> int:
         return len(self._surfaces)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    def intern(self, token: str) -> int:
-        """Return the id for ``token``, assigning the next free id if new.
-
-        Only valid while the vocabulary is unfrozen.  Tokens must be
-        non-empty and contain no whitespace (i.e. already tokenized).
-        """
-        if self._frozen:
-            raise RuntimeError("cannot intern into a frozen vocabulary")
-        if not token:
-            raise ValueError("cannot intern an empty token")
-        # No alphanumeric code point is whitespace, so a clean token skips
-        # the scan.
-        if not token.isalnum() and any(ch.isspace() for ch in token):
-            raise ValueError(f"token contains whitespace: {token!r}")
-        existing = self._ids.get(token)
-        if existing is not None:
-            return existing
-        new_id = len(self._surfaces)
-        self._ids[token] = new_id
-        self._surfaces.append(token)
-        return new_id
-
-    def lookup(self, token: str) -> int | None:
-        """Return the id for ``token``, or ``None`` if it was never interned."""
-        return self._ids.get(token)
 
     def surface(self, token_id: int) -> str:
         """Return the token string for ``token_id``."""
@@ -113,19 +89,3 @@ class Vocabulary:
     def surfaces(self) -> list[str]:
         """All token strings in id order (a copy)."""
         return list(self._surfaces)
-
-    @classmethod
-    def from_surfaces(cls, surfaces: Iterable[str], frozen: bool = True) -> "Vocabulary":
-        """Rebuild a vocabulary from an id-ordered token list (deserialization).
-
-        Raises ``ValueError`` for a repeated token, which would shift the
-        id of every later one.
-        """
-        vocab = cls()
-        for token in surfaces:
-            if token in vocab:
-                raise ValueError(f"duplicate token {token!r}")
-            vocab.intern(token)
-        if frozen:
-            vocab.freeze()
-        return vocab

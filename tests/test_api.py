@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "Candidate",
     "ChecksumError",
     "CuratedDataset",
-    "DegreeStats",
     "IngestReport",
     "LeafGraph",
     "Model",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "Vocabulary",
     "build",
     "curate",
-    "degree_stats",
     "enumerate_candidates",
     "ingest",
     "load",
@@ -43,18 +41,21 @@ PUBLIC_NAMES = [
 ]
 
 # The plain-Python query pipeline and the tokenizer hook, which the
-# vectorized pipeline and the one fixed tokenizer replace.
+# vectorized pipeline and the one fixed tokenizer replace; the degree
+# wrapper, whose counts the leaf graph already holds; the format version,
+# which belongs to storage.
 REMOVED = {
-    "graphex": ["Normalizer", "dedupe_and_count", "jac", "lta", "prune_by_count_groups",
-                "rank", "wmr"],
+    "graphex": ["DegreeStats", "Normalizer", "dedupe_and_count", "degree_stats", "jac", "lta",
+                "prune_by_count_groups", "rank", "wmr"],
     "graphex.inference": ["_check_common", "dedupe_and_count", "jac", "lta",
                           "prune_by_count_groups", "rank", "wmr"],
     "graphex.vocab": ["DEFAULT_NORMALIZER", "Normalizer", "Stemmer", "identity_stem"],
-    "graphex.graph": ["KeyphraseRecord"],
+    "graphex.graph": ["DegreeStats", "FORMAT_VERSION", "KeyphraseRecord", "degree_stats"],
 }
 
 
 def test_public_names_are_pinned_and_resolve():
+    assert len(PUBLIC_NAMES) == 31
     assert graphex.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(graphex, name) is not None

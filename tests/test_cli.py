@@ -136,6 +136,14 @@ def test_nonpositive_k_or_max_predictions_exit_2_before_loading(
     assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_exits_2_before_loading(port, model_path, capsys, monkeypatch):
+    monkeypatch.setattr(storage, "load", lambda path: pytest.fail("model loaded"))
+    monkeypatch.setattr(cli, "serve", lambda config, model: pytest.fail("server started"))
+    assert main(["serve", "--model", model_path, "--port", port]) == 2
+    assert f"--port must be 0-65535, got {port}" in capsys.readouterr().err
+
+
 def test_infer_missing_model_exits_2(tmp_path, capsys):
     code = main(["infer", "--model", str(tmp_path / "nope.gex"),
                  "--items", str(tmp_path / "nope.tsv")])
@@ -155,7 +163,7 @@ def test_infer_corrupt_model_exits_1(tmp_path, capsys):
 def test_stats_prints_per_leaf_lines(model_path, capsys):
     assert main(["stats", "--model", model_path]) == 0
     out = capsys.readouterr().out
-    assert "leaf 42: 5 keyphrases, 7 tokens, 13 edges" in out
+    assert "leaf 42: 5 keyphrases, 7 tokens, 13 edges, avg degree 1.86" in out
     assert "total: 1 leaves" in out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
-from graphex.graph import UnknownLeafError, build, degree_stats
+from graphex.graph import UnknownLeafError, build
 
 from helpers import (
     brute_degree,
@@ -75,22 +75,20 @@ def test_row_lookup_matches_a_dict_over_token_rows(seed):
 
 def test_headphones_leaf_stats_match_full_scan(headphones_dataset, headphones_model):
     texts = leaf_texts(headphones_dataset, 42)
-    stats = degree_stats(headphones_model, 42)
-    assert stats.num_tokens == brute_unique_token_count(texts) == 7
-    assert stats.num_edges == brute_edge_count(texts) == 13
-    assert stats.avg_degree == pytest.approx(13 / 7)
+    graph = headphones_model.leaf(42)
+    assert graph.num_tokens == brute_unique_token_count(texts) == 7
+    assert graph.num_edges == brute_edge_count(texts) == 13
 
 
 def test_degree_stats_single_keyphrase():
-    model = build(dataset_of(("a b", 5)))
-    stats = degree_stats(model, 5)
-    assert (stats.num_tokens, stats.num_edges, stats.avg_degree) == (2, 2, 1.0)
+    graph = build(dataset_of(("a b", 5))).leaf(5)
+    assert (graph.num_tokens, graph.num_edges, graph.num_keyphrases) == (2, 2, 1)
 
 
 def test_degree_stats_unknown_leaf_raises():
     model = build(dataset_of(("a b", 5)))
     with pytest.raises(UnknownLeafError):
-        degree_stats(model, 6)
+        model.leaf(6)
 
 
 def test_duplicate_tokens_inside_keyphrase_produce_one_edge():

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from graphex import storage
 from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
 from graphex.graph import LeafGraph, build
 from graphex.inference import Query, recommend
@@ -29,13 +30,10 @@ from helpers import make_dataset
 def assert_models_equal(a, b):
     assert a.meta_category == b.meta_category
     assert a.orientation == b.orientation
-    assert a.version == b.version
     assert a.vocabulary.surfaces() == b.vocabulary.surfaces()
-    assert b.vocabulary.frozen
     assert a.kp_texts == b.kp_texts
     assert np.array_equal(a.kp_text_ref, b.kp_text_ref)
-    assert np.array_equal(a.kp_token_offsets, b.kp_token_offsets)
-    assert np.array_equal(a.kp_token_ids, b.kp_token_ids)
+    assert np.array_equal(a.kp_lengths, b.kp_lengths)
     assert np.array_equal(a.kp_search, b.kp_search)
     assert np.array_equal(a.kp_recall, b.kp_recall)
     assert sorted(a.leaf_graphs) == sorted(b.leaf_graphs)
@@ -147,7 +145,7 @@ def test_leaf_block_nbytes_matches_serialized_growth():
 
 
 # ---------------------------------------------------------------------------
-# Format version 2 layout, read back by a parser independent of storage.py.
+# Format version 3 layout, read back by a parser independent of storage.py.
 
 HEADER_SIZE = 56
 
@@ -174,13 +172,12 @@ def parse_layout(buf):
         pos += count * np.dtype(dtype).itemsize
         return start, np.frombuffer(buf, dtype=dtype, count=count, offset=start)
 
-    n, total = struct.unpack_from("<IQ", buf, pos)
-    pos += 12
+    (n,) = struct.unpack_from("<I", buf, pos)
+    pos += 4
     arrays = {}
-    for name, count, dtype in (("kp_text_ref", n, "<u4"), ("kp_token_offsets", n + 1, "<i8"),
-                               ("kp_token_ids", total, "<u4"), ("kp_search", n, "<f8"),
-                               ("kp_recall", n, "<f8")):
-        arrays[name] = take(count, dtype)
+    for name, dtype in (("kp_text_ref", "<u4"), ("kp_lengths", "<u4"),
+                        ("kp_search", "<f8"), ("kp_recall", "<f8")):
+        arrays[name] = take(n, dtype)
     pos = offsets[4]
     (leaf_count,) = struct.unpack_from("<I", buf, pos)
     pos += 4
@@ -220,8 +217,7 @@ def test_every_loaded_array_is_aligned():
     assert all(start % 8 == 0 for start in starts)
     assert all(leaf["start"] % 8 == 0 for leaf in leaves)
     loaded = from_bytes(data)
-    loaded_arrays = [loaded.kp_text_ref, loaded.kp_token_offsets, loaded.kp_token_ids,
-                     loaded.kp_search, loaded.kp_recall]
+    loaded_arrays = [loaded.kp_text_ref, loaded.kp_lengths, loaded.kp_search, loaded.kp_recall]
     for graph in loaded.leaf_graphs.values():
         loaded_arrays += [graph.token_rows, graph.offsets, graph.edges]
     assert all(arr.flags.aligned for arr in loaded_arrays)
@@ -246,11 +242,78 @@ def test_leaf_block_nbytes_is_the_serialized_block_size():
 
 def test_version_1_file_is_rejected_and_names_its_version(headphones_model):
     data = bytearray(to_bytes(headphones_model))
-    data[4:8] = (1).to_bytes(4, "little")
-    with pytest.raises(UnsupportedVersionError) as excinfo:
-        from_bytes(bytes(data))
-    assert "version 1 " in str(excinfo.value)
-    assert "graphex train" in str(excinfo.value)
+    for version in (1, 2):
+        data[4:8] = version.to_bytes(4, "little")
+        with pytest.raises(UnsupportedVersionError) as excinfo:
+            from_bytes(bytes(data))
+        assert f"version {version} " in str(excinfo.value)
+        assert "graphex train" in str(excinfo.value)
+
+
+def tiny_model():
+    rows = [RawKeyphraseRow("red shoe", 1, 30.0, 2.0), RawKeyphraseRow("shoe", 1, 10.0, 1.0),
+            RawKeyphraseRow("red hat", 2, 20.0, 3.0)]
+    return build(curate(rows, orientation=COUNT_ORIENTATION, meta_category="Tiny"))
+
+
+# Every byte of tiny_model() in format version 3.  A layout change that
+# does not bump the version fails here.
+TINY_MODEL_V3 = bytes.fromhex(
+    # header: magic, version 3, offsets of the five sections and the body end
+    "47455831 03000000 3800000000000000 4e00000000000000 6700000000000000 "
+    "8900000000000000 e000000000000000 8001000000000000 "
+    # meta: label length and UTF-8, orientation flags, keyphrase count, leaf count
+    "04000000 54696e79 01 01 0300000000000000 02000000 "
+    # vocabulary: entry count, byte length, blob
+    "03000000 0d00000000000000 6861740a7265640a73686f650a "
+    # string table: entry count, byte length, blob
+    "03000000 1600000000000000 726564206861740a7265642073686f650a73686f650a "
+    # keyphrases: count, pad; text refs, pad; lengths, pad; search; recall
+    "03000000 000000 010000000200000000000000 00000000 020000000100000002000000 00000000 "
+    "0000000000003e4000000000000024400000000000003440 "
+    "0000000000000040000000000000f03f0000000000000840 "
+    # leaves: count, pad
+    "02000000 00000000 "
+    # leaf 1: id, kp base, keyphrase count, row count, edge count, pad
+    "0100000000000000 00000000 02000000 02000000 0300000000000000 00000000 "
+    # token rows; row offsets; edges, pad
+    "0100000002000000 000000000000000001000000000000000300000000000000 "
+    "000000000000000001000000 00000000 "
+    # leaf 2: id, kp base, keyphrase count, row count, edge count, pad
+    "0200000000000000 02000000 01000000 02000000 0200000000000000 00000000 "
+    # token rows; row offsets; edges
+    "0000000001000000 000000000000000001000000000000000200000000000000 0200000002000000 "
+    # CRC-32 of the body
+    "404d61f2"
+)
+
+
+def test_tiny_model_file_is_pinned_byte_for_byte():
+    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V3.hex()
+    loaded = from_bytes(TINY_MODEL_V3)
+    assert_models_equal(tiny_model(), loaded)
+    predictions = recommend(loaded, Query("red shoe", 1))
+    assert [(p.keyphrase, p.align, p.search) for p in predictions] == [
+        ("red shoe", 2.0, 30.0), ("shoe", 1.0, 10.0),
+    ]
+
+
+def test_writer_rejects_a_keyphrase_text_with_a_newline():
+    model = tiny_model()
+    model.kp_texts[0] = "red\nhat"
+    with pytest.raises(ValueError, match="string table entry contains a newline"):
+        to_bytes(model)
+
+
+def test_text_tables_decode_the_same_in_chunks_of_any_size(monkeypatch):
+    # Multi-byte characters and entries longer than a chunk: each chunk
+    # ends after a newline, so none splits a character or an entry.
+    model = model_of(("café crème brûlée", 1), ("naïve " + "x" * 40, 1), ("日本 語", 2))
+    data = to_bytes(model)
+    for chunk in (1, 3, 7, 64):
+        monkeypatch.setattr(storage, "_DECODE_CHUNK", chunk)
+        loaded = from_bytes(data)
+        assert_models_equal(model, loaded)
 
 
 def test_leaf_without_token_rows_loads_and_answers_empty():
@@ -347,22 +410,28 @@ MALFORMED = {
         [("aa bb", 1), ("aa bb", 2)], drop_last_leaf, "cover"),
     "duplicate leaf id": (
         [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_id, "appears twice"),
-    "keyphrase token offsets decrease": (
-        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_offsets", 1, 5), "token offsets"),
-    "keyphrase token offsets do not end at token count": (
-        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_offsets", 2, 3), "token offsets"),
+    "keyphrase length differs from its edge count": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_lengths", 1, 3), "edge count"),
     "keyphrase text reference outside string table": (
         [("aa bb", 1), ("cc dd", 1)], edit_array("kp_text_ref", 1, 2), "string table"),
-    "keyphrase token id outside vocabulary": (
-        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_token_ids", 3, 4), "vocabulary"),
+    # The vocabulary blob of these models is b"aa\nab\n" or b"aa\nbb\n", the
+    # keyphrase string table b"aa ab\n" or b"aa bb\n".
     "duplicate vocabulary surface": (
-        [("aa ab", 1)], edit_text(b"\x02\x00\x00\x00ab", b"\x02\x00\x00\x00aa"), "duplicate"),
+        [("aa ab", 1)], edit_text(b"aa\nab\n", b"aa\naa\n"), "duplicate"),
     "vocabulary surface with whitespace": (
-        [("aa bb", 1)], edit_text(b"\x02\x00\x00\x00bb", b"\x02\x00\x00\x00b "), "whitespace"),
+        [("aa bb", 1)], edit_text(b"aa\nbb\n", b"aa\nb \n"), "whitespace"),
     "vocabulary surface not UTF-8": (
-        [("aa bb", 1)], edit_text(b"\x02\x00\x00\x00bb", b"\x02\x00\x00\x00b\xff"), "UTF-8"),
+        [("aa bb", 1)], edit_text(b"aa\nbb\n", b"aa\nb\xff\n"), "vocabulary at byte .* UTF-8"),
+    "vocabulary without a trailing newline": (
+        [("aa bb", 1)], edit_text(b"aa\nbb\n", b"aa\nbbb"), "vocabulary does not end"),
+    "vocabulary entry count differs from its header": (
+        [("aa bb", 1)], edit_text(b"aa\nbb\n", b"aa\nb\n\n"), "vocabulary holds 3 entries, not 2"),
     "keyphrase text not UTF-8": (
-        [("aa bb", 1)], edit_text(b"aa bb", b"aa b\xff"), "UTF-8"),
+        [("aa bb", 1)], edit_text(b"aa bb\n", b"aa b\xff\n"), "string table at byte .* UTF-8"),
+    "keyphrase string table without a trailing newline": (
+        [("aa bb", 1)], edit_text(b"aa bb\n", b"aa bbb"), "string table does not end"),
+    "keyphrase string table entry count differs from its header": (
+        [("aa bb", 1)], edit_text(b"aa bb\n", b"aa\nbb\n"), "string table holds 2 entries, not 1"),
 }
 
 

@@ -63,14 +63,13 @@ def test_tokenize_fast_path_matches_reference_for_every_code_point():
 
 
 def test_no_alphanumeric_code_point_is_punctuation_or_whitespace():
-    # The tokenizer's and Vocabulary.intern's fast paths rest on this.
+    # The tokenizer's and the Vocabulary constructor's fast paths rest on this.
     assert [ch for ch in EVERY_CHAR if ch.isalnum()
             and (ch.isspace() or unicodedata.category(ch).startswith("P"))] == []
-    vocab = Vocabulary()
     for ch in EVERY_CHAR:
         if ch.isspace():
             with pytest.raises(ValueError, match="whitespace"):
-                vocab.intern(f"a{ch}b")
+                Vocabulary(["ok", f"a{ch}b"])
 
 
 def test_unique_tokens_keeps_first_occurrence_order():
@@ -79,18 +78,16 @@ def test_unique_tokens_keeps_first_occurrence_order():
 
 
 def test_vocabulary_assigns_dense_ids_in_insertion_order():
-    vocab = Vocabulary()
-    ids = [vocab.intern(t) for t in ["gaming", "headphones", "gaming", "xbox"]]
+    vocab = Vocabulary(["gaming", "headphones", "xbox"])
+    ids = [vocab.lookup(t) for t in ["gaming", "headphones", "gaming", "xbox"]]
     assert ids == [0, 1, 0, 2]
     assert len(vocab) == 3
     assert [vocab.surface(i) for i in range(3)] == ["gaming", "headphones", "xbox"]
 
 
 def test_vocabulary_roundtrip_is_bijective():
-    vocab = Vocabulary()
     tokens = [f"t{i}" for i in range(100)]
-    for token in tokens:
-        vocab.intern(token)
+    vocab = Vocabulary(tokens)
     for token in tokens:
         token_id = vocab.lookup(token)
         assert token_id is not None
@@ -98,29 +95,31 @@ def test_vocabulary_roundtrip_is_bijective():
 
 
 def test_vocabulary_rejects_empty_and_whitespace_tokens():
-    vocab = Vocabulary()
-    with pytest.raises(ValueError):
-        vocab.intern("")
-    with pytest.raises(ValueError):
-        vocab.intern("two words")
-    with pytest.raises(ValueError):
-        vocab.intern("tab\tbed")
+    with pytest.raises(ValueError, match="empty"):
+        Vocabulary(["a", ""])
+    with pytest.raises(ValueError, match="whitespace"):
+        Vocabulary(["two words"])
+    with pytest.raises(ValueError, match="whitespace"):
+        Vocabulary(["tab\tbed"])
 
 
 def test_frozen_vocabulary_rejects_writes_and_reports_absent():
-    vocab = Vocabulary()
-    vocab.intern("known")
-    vocab.freeze()
-    assert vocab.frozen
+    # Immutable from construction: neither the caller's list nor the
+    # copy surfaces() returns can change the table.
+    tokens = ["known"]
+    vocab = Vocabulary(tokens)
+    tokens.append("later")
+    vocab.surfaces().append("other")
+    assert vocab.surfaces() == ["known"]
     assert vocab.lookup("known") == 0
+    assert vocab.lookup("later") is None
     assert vocab.lookup("unknown") is None
-    with pytest.raises(RuntimeError):
-        vocab.intern("unknown")
+    for name in ("intern", "freeze", "frozen", "from_surfaces"):
+        assert not hasattr(Vocabulary, name)
 
 
 def test_vocabulary_surface_rejects_out_of_range_ids():
-    vocab = Vocabulary()
-    vocab.intern("only")
+    vocab = Vocabulary(["only"])
     with pytest.raises(IndexError):
         vocab.surface(1)
     with pytest.raises(IndexError):
@@ -128,16 +127,13 @@ def test_vocabulary_surface_rejects_out_of_range_ids():
 
 
 def test_from_surfaces_rebuilds_identical_table():
-    vocab = Vocabulary()
-    for token in ["c", "a", "b"]:
-        vocab.intern(token)
-    clone = Vocabulary.from_surfaces(vocab.surfaces())
-    assert clone.frozen
+    vocab = Vocabulary(iter(["c", "a", "b"]))
+    clone = Vocabulary(vocab.surfaces())
     assert clone.surfaces() == ["c", "a", "b"]
-    assert clone.lookup("a") == 1
+    assert [clone.lookup(t) for t in "cab"] == [0, 1, 2]
 
 
 def test_from_surfaces_rejects_a_repeated_token():
     # A repeat would shift the id of every later token.
     with pytest.raises(ValueError, match="duplicate token 'b'"):
-        Vocabulary.from_surfaces(["a", "b", "c", "b"])
+        Vocabulary(["a", "b", "c", "b"])
