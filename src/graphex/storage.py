@@ -163,7 +163,7 @@ class _Reader:
             raise MalformedModelError(f"string at byte {start} is not UTF-8: {exc}") from None
 
     def text_table(self, count: int, what: str) -> list[str]:
-        """The ``count`` entries of the text blob that starts here."""
+        """The ``count`` entries of a text table whose byte length starts here."""
         nbytes = self.u64()
         start = self._take(nbytes)
         end = start + nbytes
