@@ -99,13 +99,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_items(path: str) -> Iterator[tuple[str, str | None, BatchItem | None]]:
     """Yield (item id, error, batch item) per line of an items TSV."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
             fields = line.split("\t")
             item_id = fields[0] if fields[0] else f"line-{line_no}"
+            error = curation.utf8_error(line)
+            if error is not None:
+                if curation.utf8_error(item_id) is not None:
+                    item_id = f"line-{line_no}"
+                yield item_id, error, None
+                continue
             if len(fields) != 3:
                 yield item_id, f"expected 3 tab-separated columns, got {len(fields)}", None
                 continue
@@ -304,7 +310,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     _require_file(args.model)
-    model = storage.load(args.model)
+    with open(args.model, "rb") as handle:
+        data = handle.read()
+    model = storage.from_bytes(data)
+    print(
+        f"model: format {storage.FORMAT_VERSION}, crc 0x{storage.stored_crc(data):08x}, "
+        f"{model.num_keyphrases} keyphrases, {len(model.vocabulary)} vocabulary tokens, "
+        f"{len(data)} bytes"
+    )
     total_edges = 0
     total_bytes = 0
     for leaf_id in model.leaf_categories:
@@ -376,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="answer unknown leaves with 200 and no predictions")
     servep.set_defaults(func=cmd_serve)
 
-    stats = sub.add_parser("stats", help="per-leaf graph statistics")
+    stats = sub.add_parser("stats", help="model fingerprint and per-leaf graph statistics")
     stats.add_argument("--model", required=True)
     stats.set_defaults(func=cmd_stats)
 

@@ -95,6 +95,24 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 
+def utf8_error(text: str) -> str | None:
+    """Why ``text`` is not valid UTF-8, or ``None`` when it is.
+
+    Input files are opened with ``errors="surrogateescape"``, which reads
+    each byte that does not decode as a lone surrogate, so one bad byte
+    spoils only its own line, which this check then rejects.
+    """
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(text[exc.start])
+        byte = f" byte {code - 0xDC00:#04x}" if 0xDC80 <= code <= 0xDCFF else ""
+        return f"invalid UTF-8{byte} at column {exc.start + 1}"
+    return None
+
+
 def _parse_score(text: str, what: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
@@ -120,10 +138,10 @@ def ingest(
 ) -> Iterator[RawKeyphraseRow]:
     """Parse a TSV stream into :class:`RawKeyphraseRow` values.
 
-    ``source`` is a path or an open text handle.  Malformed rows (wrong
-    column count, empty keyphrase, a leaf that is not an integer or falls
-    outside the signed 64-bit range, unparseable scores) are recorded in
-    ``report`` with their 1-based line numbers and skipped.
+    ``source`` is a path or an open text handle.  Malformed rows (invalid
+    UTF-8, wrong column count, empty keyphrase, a leaf that is not an
+    integer or falls outside the signed 64-bit range, unparseable scores)
+    are recorded in ``report`` with their 1-based line numbers and skipped.
     With ``has_header=None`` the first line is sniffed: it is treated as a
     header when its last two columns do not both parse as numbers.
     """
@@ -143,6 +161,9 @@ def ingest(
                 if skip:
                     continue
             try:
+                error = utf8_error(line)
+                if error is not None:
+                    raise ValueError(error)
                 if len(fields) != 4:
                     raise ValueError(f"expected 4 tab-separated columns, got {len(fields)}")
                 keyphrase, leaf_text, search_text, recall_text = fields
@@ -162,7 +183,7 @@ def ingest(
             yield RawKeyphraseRow(keyphrase, leaf, search, recall)
 
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             yield from lines(handle)
     else:
         yield from lines(source)

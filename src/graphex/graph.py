@@ -10,6 +10,9 @@ the same curated dataset always produces the same model, byte for byte.
 
 from __future__ import annotations
 
+import operator
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .curation import CuratedDataset, ScoreOrientation
@@ -25,6 +28,83 @@ class UnknownLeafError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown leaf category: {self.leaf_category}"
+
+
+# Entries decoded at a time when a string table is iterated.
+_ITER_CHUNK = 4096
+
+
+class StringTable:
+    """Read-only table of texts kept as one UTF-8 blob, not as ``str`` objects.
+
+    Every entry is followed by ``\\n``, the layout of a text table in the
+    model file.  ``starts`` holds ``len(table) + 1`` int64 offsets into
+    ``data``: entry ``i`` is ``data[starts[i]:starts[i + 1] - 1]`` and
+    the blob is ``data[starts[0]:starts[-1]]``.  A built table's ``data``
+    is its blob; a loaded table's is the whole file, so the table copies
+    nothing.  Indexing decodes one entry and :meth:`take` decodes many,
+    so a query decodes only the texts it returns.  A table compares equal
+    to another with the same blob and to a list of the same strings.
+    """
+
+    __slots__ = ("_data", "_starts")
+
+    def __init__(self, texts: Iterable[str] = ()) -> None:
+        texts = list(texts)
+        blob = "\n".join([*texts, ""]).encode("utf-8")
+        newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == 10)
+        if len(newlines) != len(texts):
+            bad = next(text for text in texts if "\n" in text)
+            raise ValueError(f"a string table entry contains a newline: {bad!r}")
+        self._data = blob
+        self._starts = memoryview(np.concatenate(([0], newlines + 1)).astype(np.int64, copy=False))
+
+    @classmethod
+    def from_buffer(cls, data: bytes, starts: np.ndarray) -> StringTable:
+        """A table over ``data`` whose int64 entry offsets are known (unchecked)."""
+        table = cls.__new__(cls)
+        table._data = data
+        # Indexing a memoryview gives Python ints, cheaper than numpy scalars.
+        table._starts = memoryview(starts)
+        return table
+
+    @property
+    def blob(self) -> memoryview:
+        """The newline-ended UTF-8 bytes of all entries (a view)."""
+        return memoryview(self._data)[self._starts[0]:self._starts[-1]]
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index: int) -> str:
+        i = operator.index(index)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"string table index out of range: {index}")
+        return self._data[self._starts[i]:self._starts[i + 1] - 1].decode()
+
+    def __iter__(self) -> Iterator[str]:
+        starts, n = self._starts, len(self)
+        for lo in range(0, n, _ITER_CHUNK):
+            chunk = self._data[starts[lo]:starts[min(lo + _ITER_CHUNK, n)] - 1]
+            yield from chunk.decode().split("\n")
+
+    def take(self, ids: np.ndarray) -> list[str]:
+        """The texts of entries ``ids`` (valid indices), decoded in order."""
+        data, starts = self._data, self._starts
+        return [data[starts[i]:starts[i + 1] - 1].decode() for i in ids.tolist()]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StringTable):
+            return self.blob == other.blob
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<StringTable: {len(self)} entries, {len(self.blob)} bytes>"
 
 
 class LeafGraph:
@@ -96,6 +176,9 @@ class Model:
     Keyphrase ``i`` has text ``kp_texts[kp_text_ref[i]]``, ``kp_lengths[i]``
     unique tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``;
     its tokens are the rows whose adjacency holds ``i`` in its leaf graph.
+    ``kp_texts`` is a :class:`StringTable`: the texts stay one UTF-8 blob
+    (a view of the file bytes in a loaded model) and are decoded only
+    when read, so a model holds no ``str`` per keyphrase.
     """
 
     def __init__(
@@ -103,7 +186,7 @@ class Model:
         meta_category: str,
         orientation: ScoreOrientation,
         vocabulary: Vocabulary,
-        kp_texts: list[str],
+        kp_texts: StringTable,
         kp_text_ref: np.ndarray,
         kp_lengths: np.ndarray,
         kp_search: np.ndarray,
@@ -201,7 +284,7 @@ def build(dataset: CuratedDataset) -> Model:
         meta_category=dataset.meta_category,
         orientation=orientation,
         vocabulary=vocabulary,
-        kp_texts=unique_texts,
+        kp_texts=StringTable(unique_texts),
         kp_text_ref=np.asarray(text_refs, dtype=np.uint32),
         kp_lengths=np.asarray(lengths, dtype=np.uint32),
         kp_search=np.asarray(searches, dtype=np.float64),

@@ -245,19 +245,19 @@ def _rank(
         positions = positions.tolist()
 
     # Plain Python values from whole arrays; the orientation's sign flips
-    # work on arrays as they do on floats.
+    # work on arrays as they do on floats.  Only the returned keyphrases'
+    # texts are decoded.
     orientation = model.orientation
-    texts = model.kp_texts
     rows = zip(
-        model.kp_text_ref[kp_ids[order]].tolist(),
+        model.kp_texts.take(model.kp_text_ref[kp_ids[order]]),
         align_scores[order].tolist(),
         orientation.raw_search(search[order]).tolist(),
         orientation.raw_recall(recall[order]).tolist(),
         positions,
     )
     flat = [
-        Prediction(texts[ref], align_score, raw_search, raw_recall, position)
-        for ref, align_score, raw_search, raw_recall, position in rows
+        Prediction(text, align_score, raw_search, raw_recall, position)
+        for text, align_score, raw_search, raw_recall, position in rows
     ]
     if single:
         return [flat]

@@ -10,12 +10,16 @@ Layout (all integers little-endian):
 
 The vocabulary and the keyphrase string table are each a u32 entry
 count, a u64 byte length and one UTF-8 blob with ``\n`` after every entry;
-the meta category label is a u32-length-prefixed UTF-8 string.  Numeric
-arrays are written as raw little-endian buffers so they can be rebuilt
-with ``np.frombuffer`` without per-element work.  Every array and every
-leaf graph block starts at a file offset that is a multiple of 8 (zero
-padding); the reader works the padding out from the offset alone, and the
-arrays it returns are aligned.  Serialization is deterministic: the same
+the meta category label is a u32-length-prefixed UTF-8 string.  The
+string table's blob is the one a :class:`~graphex.graph.StringTable`
+holds: the writer copies it as it is, and the reader returns a table
+over the file bytes, so keyphrase texts are decoded per prediction,
+never all at load.  Numeric arrays are written as raw little-endian
+buffers so they can be rebuilt with ``np.frombuffer`` without
+per-element work.  Every array and every leaf graph block starts at a
+file offset that is a multiple of 8 (zero padding); the reader works the
+padding out from the offset alone, and the arrays it returns are
+aligned.  Serialization is deterministic: the same
 model always produces the same bytes.
 
 Loading checks the header, the checksum and then the structure, so that
@@ -33,7 +37,7 @@ import zlib
 import numpy as np
 
 from .curation import ScoreOrientation
-from .graph import LeafGraph, Model
+from .graph import LeafGraph, Model, StringTable
 from .vocab import Vocabulary
 
 MAGIC = b"GEX1"
@@ -45,8 +49,8 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _LEAF_HEADER_NBYTES = 8 + 4 + 4 + 4 + 8
 _ALIGN = 8
-# Bytes of a text table decoded at a time: one whole-table decode would
-# hold a second copy of the table at load.
+# Bytes of a text table checked at a time: decoding or scanning the whole
+# table at once would hold a temporary the size of the table at load.
 _DECODE_CHUNK = 1 << 20
 
 
@@ -112,13 +116,10 @@ class _Writer:
         self.u32(len(raw))
         self.buf += raw
 
-    def text_table(self, entries: list[str], what: str) -> None:
-        blob = "\n".join([*entries, ""]).encode("utf-8")
-        if blob.count(b"\n") != len(entries):
-            raise ValueError(f"a {what} entry contains a newline")
-        self.u32(len(entries))
-        self.u64(len(blob))
-        self.buf += blob
+    def text_table(self, table: StringTable) -> None:
+        self.u32(len(table))
+        self.u64(len(table.blob))
+        self.buf += table.blob
 
     def align(self) -> None:
         self.buf += bytes(-len(self.buf) % _ALIGN)
@@ -162,30 +163,43 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise MalformedModelError(f"string at byte {start} is not UTF-8: {exc}") from None
 
-    def text_table(self, count: int, what: str) -> list[str]:
-        """The ``count`` entries of a text table whose byte length starts here."""
+    def text_table(self, count: int, what: str) -> StringTable:
+        """The ``count`` entries of a text table whose byte length starts here.
+
+        The table reads the file bytes in place.  Its UTF-8 is checked and
+        its newlines found a chunk at a time, so no temporary grows with
+        the table.
+        """
         nbytes = self.u64()
         start = self._take(nbytes)
         end = start + nbytes
         data = self.data
         _require(not nbytes or data[end - 1] == 0x0A, f"{what} does not end in a newline")
-        entries: list[str] = []
+        view = memoryview(data)
+        # Each entry takes at least its newline, so a count above the byte
+        # length is wrong and allocates no more than the bytes allow.
+        starts = np.empty(min(count, nbytes) + 1, dtype=np.int64)
+        starts[0] = start
+        found = 0
         pos = start
         while pos < end:
             # Cut after the first newline from a chunk's length on.  No
             # other UTF-8 sequence holds byte 0x0A, so no character splits.
             cut = data.index(b"\n", min(pos + _DECODE_CHUNK, end) - 1) + 1
             try:
-                parts = data[pos:cut].decode("utf-8").split("\n")
+                str(view[pos:cut], "utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedModelError(
                     f"{what} at byte {pos + exc.start} is not UTF-8: {exc.reason}"
                 ) from None
-            parts.pop()  # the empty string after the chunk's last newline
-            entries += parts
+            newlines = np.flatnonzero(np.frombuffer(data, np.uint8, cut - pos, pos) == 0x0A)
+            if found + len(newlines) <= count:
+                # File offsets of the entries after these newlines.
+                starts[found + 1:found + 1 + len(newlines)] = newlines + (pos + 1)
+            found += len(newlines)
             pos = cut
-        _require(len(entries) == count, f"{what} holds {len(entries)} entries, not {count}")
-        return entries
+        _require(found == count, f"{what} holds {found} entries, not {count}")
+        return StringTable.from_buffer(data, starts)
 
     def align(self) -> None:
         self._take(-self.pos % _ALIGN)
@@ -205,10 +219,10 @@ def _write_meta(w: _Writer, model: Model) -> None:
     w.u32(len(model.leaf_graphs))
 
 def _write_vocab(w: _Writer, model: Model) -> None:
-    w.text_table(model.vocabulary.surfaces(), "vocabulary")
+    w.text_table(StringTable(model.vocabulary.surfaces()))
 
 def _write_strings(w: _Writer, model: Model) -> None:
-    w.text_table(model.kp_texts, "keyphrase string table")
+    w.text_table(model.kp_texts)
 
 def _write_keyphrases(w: _Writer, model: Model) -> None:
     w.u32(model.num_keyphrases)
@@ -371,9 +385,9 @@ def from_bytes(data: bytes) -> Model:
     num_keyphrases = meta.u64()
     num_leaves = meta.u32()
 
-    # The structure is checked from the counts alone, before the vocabulary
-    # and string table are decoded, so the checks' temporaries are freed
-    # before the Python strings are made.
+    # The structure is checked from the counts alone, before the text
+    # tables are read, so the checks' temporaries are freed before the
+    # vocabulary's Python strings are made.
     vocab_reader = _Reader(data, offsets[1])
     num_tokens = vocab_reader.u32()
     strings_reader = _Reader(data, offsets[2])
@@ -440,6 +454,12 @@ def from_bytes(data: bytes) -> Model:
         kp_recall=kp_recall,
         leaf_graphs=leaf_graphs,
     )
+
+
+def stored_crc(data: bytes) -> int:
+    """The body CRC-32 stored in model file bytes that :func:`from_bytes` accepts."""
+    body_end = _HEADER.unpack_from(data, 0)[-1]
+    return _U32.unpack_from(data, body_end)[0]
 
 
 def load(path: str) -> Model:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_train_reports_malformed_rows_with_line_numbers(tmp_path, capsys):
     assert code == 0
     assert "rows: 2 ok, 1 malformed" in captured.out
     assert ":2:" in captured.err
+
+
+def test_train_skips_a_row_with_invalid_utf8(tmp_path, capsys):
+    tsv = tmp_path / "kp.tsv"
+    tsv.write_bytes(b"red shoe\t1\t5\t5\r\nbad \xff row\t1\t5\t5\r\nblue hat\t2\t9\t9\r\n")
+    out = tmp_path / "m.gex"
+    code = main(["train", "--input", str(tsv), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "rows: 2 ok, 1 malformed" in captured.out
+    assert f"{tsv}:2: invalid UTF-8 byte 0xff at column 5" in captured.err
+    assert storage.load(str(out)).kp_texts == ["blue hat", "red shoe"]
 
 
 def test_train_leaf_id_outside_int64_is_a_malformed_row(tmp_path, capsys):
@@ -117,6 +130,25 @@ def test_infer_writes_expected_jsonl(model_path, tmp_path):
     assert "columns" in rows[3]["error"]
 
 
+def test_infer_writes_an_error_row_for_a_line_with_invalid_utf8(model_path, tmp_path):
+    items = tmp_path / "items.tsv"
+    items.write_bytes(
+        f"i1\t{HEADPHONES_TITLE}\t42\n".encode()
+        + b"i2\tbad \xe9 title\t42\n"
+        + b"\xffid\ttitle\t42\r\n"
+        + b"i4\taudeze\t42\n"
+    )
+    out = tmp_path / "preds.jsonl"
+    code = main(["infer", "--model", model_path, "--items", str(items), "--output", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["item_id"] for row in rows] == ["i1", "i2", "line-3", "i4"]
+    assert rows[0]["predictions"] and rows[3]["predictions"]
+    assert rows[1] == {"item_id": "i2", "predictions": [],
+                       "error": "invalid UTF-8 byte 0xe9 at column 8"}
+    assert rows[2]["error"] == "invalid UTF-8 byte 0xff at column 1"
+
+
 @pytest.mark.parametrize("command", ["infer", "serve"])
 @pytest.mark.parametrize(
     "flag, value",
@@ -165,6 +197,15 @@ def test_stats_prints_per_leaf_lines(model_path, capsys):
     out = capsys.readouterr().out
     assert "leaf 42: 5 keyphrases, 7 tokens, 13 edges, avg degree 1.86" in out
     assert "total: 1 leaves" in out
+
+
+def test_stats_prints_the_model_fingerprint(model_path, capsys):
+    data = open(model_path, "rb").read()
+    crc = zlib.crc32(data[56:-4])
+    assert main(["stats", "--model", model_path]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"model: format 3, crc 0x{crc:08x}, 5 keyphrases, "
+                     f"7 vocabulary tokens, {len(data)} bytes")
 
 
 def eval_setup(tmp_path):

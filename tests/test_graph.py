@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
-from graphex.graph import UnknownLeafError, build
+from graphex import graph as graph_module
+from graphex.graph import StringTable, UnknownLeafError, build
 
 from helpers import (
     brute_degree,
@@ -214,3 +215,70 @@ def test_keyphrase_record_exposes_scores_in_canonical_form(headphones_model):
     assert headphones_model.kp_search[kp_id] == -3.0
     assert headphones_model.kp_recall[kp_id] == -3.0
     assert headphones_model.kp_lengths[kp_id] == 2
+
+
+# ---------------------------------------------------------------------------
+# StringTable: texts kept as one UTF-8 blob.
+
+TEXTS = ["red shoe", "café crème", "", "日本 語", "x"]
+
+
+def test_string_table_len_indexing_and_iteration():
+    table = StringTable(TEXTS)
+    assert len(table) == 5
+    assert [table[i] for i in range(5)] == TEXTS
+    assert [table[i] for i in range(-5, 0)] == TEXTS
+    assert table[np.uint32(3)] == "日本 語"
+    assert list(table) == TEXTS
+    assert bytes(table.blob) == "\n".join([*TEXTS, ""]).encode("utf-8")
+    for index in (5, -6, 1 << 40):
+        with pytest.raises(IndexError):
+            table[index]
+    with pytest.raises(TypeError):
+        table["0"]
+    with pytest.raises(TypeError):
+        table[0] = "blue shoe"
+
+
+def test_string_table_take_decodes_the_given_entries_in_order():
+    table = StringTable(TEXTS)
+    assert table.take(np.array([4, 1, 1, 3], dtype=np.uint32)) == ["x", "café crème",
+                                                                   "café crème", "日本 語"]
+    assert table.take(np.empty(0, dtype=np.uint32)) == []
+
+
+def test_string_table_equality_with_lists_and_tables():
+    table = StringTable(TEXTS)
+    assert table == TEXTS
+    assert table == StringTable(TEXTS)
+    assert table != TEXTS[:-1]
+    assert table != [*TEXTS[:-1], "y"]
+    assert table != StringTable(TEXTS[:-1])
+    assert table != tuple(TEXTS)
+    assert table != "red shoe"
+
+
+def test_empty_string_table():
+    table = StringTable()
+    assert len(table) == 0
+    assert list(table) == []
+    assert table == [] and table == StringTable([])
+    assert table != [""]
+    assert bytes(table.blob) == b""
+    for index in (0, -1):
+        with pytest.raises(IndexError):
+            table[index]
+
+
+def test_string_table_iterates_in_chunks_of_any_size(monkeypatch):
+    texts = [f"entry {i}" for i in range(10)]
+    for chunk in (1, 3, 10, 11):
+        monkeypatch.setattr(graph_module, "_ITER_CHUNK", chunk)
+        assert list(StringTable(texts)) == texts
+
+
+def test_built_model_keeps_its_texts_in_one_table():
+    model = build(dataset_of(("shared phrase", 1), ("only here", 2)))
+    assert isinstance(model.kp_texts, StringTable)
+    assert bytes(model.kp_texts.blob) == b"only here\nshared phrase\n"
+
