@@ -14,11 +14,13 @@ import logging
 import os
 import sys
 import time
+from itertools import islice
 from typing import IO, Iterator
 
 from . import curation, evaluation, storage
 from .graph import Model, build
 from .inference import (
+    _RANK_CHUNK,
     DEFAULT_K,
     DEFAULT_MAX_PREDICTIONS,
     Alignment,
@@ -97,72 +99,69 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_items(path: str) -> Iterator[tuple[str, str | None, BatchItem | None]]:
+def _read_items(path: str, k: int) -> Iterator[tuple[str, str | None, BatchItem | None]]:
     """Yield (item id, error, batch item) per line of an items TSV."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            item_id = fields[0] if fields[0] else f"line-{line_no}"
-            error = curation.utf8_error(line)
-            if error is not None:
-                if curation.utf8_error(item_id) is not None:
-                    item_id = f"line-{line_no}"
-                yield item_id, error, None
-                continue
-            if len(fields) != 3:
-                yield item_id, f"expected 3 tab-separated columns, got {len(fields)}", None
-                continue
-            try:
-                leaf = int(fields[2])
-            except ValueError:
-                yield item_id, f"bad leaf category: {fields[2]!r}", None
-                continue
-            yield item_id, None, BatchItem(item_id, Query(fields[1], leaf))
+    for line_no, line, error in curation.read_lines(path):
+        fields = line.split("\t")
+        item_id = fields[0] if fields[0] else f"line-{line_no}"
+        if error is not None:
+            if curation.utf8_error(item_id) is not None:
+                item_id = f"line-{line_no}"
+            yield item_id, error, None
+            continue
+        if len(fields) != 3:
+            yield item_id, f"expected 3 tab-separated columns, got {len(fields)}", None
+            continue
+        try:
+            leaf = int(fields[2])
+        except ValueError:
+            yield item_id, f"bad leaf category: {fields[2]!r}", None
+            continue
+        yield item_id, None, BatchItem(item_id, Query(fields[1], leaf, k=k))
 
 
-def _check_limits(args: argparse.Namespace) -> None:
-    for flag, value in (("--k", args.k), ("--max-predictions", args.max_predictions)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+def _check_limits(*limits: tuple[str, int, int]) -> None:
+    for flag, value, minimum in limits:
+        if value < minimum:
+            raise UsageError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    _check_limits(args)
+    _check_limits(("--k", args.k, 1), ("--max-predictions", args.max_predictions, 1))
     _require_file(args.model)
     _require_file(args.items)
+    if (args.output != "-" and os.path.exists(args.output)
+            and os.path.samefile(args.output, args.items)):
+        raise UsageError(f"--output must differ from --items, got {args.output} for both")
     model = storage.load(args.model)
     align = Alignment(args.align)
 
-    rows: list[dict] = []
-    batch: list[BatchItem] = []
-    slots: list[int] = []
-    for item_id, error, item in _read_items(args.items):
-        if error is not None:
-            rows.append({"item_id": item_id, "predictions": [], "error": error})
-            continue
-        query = Query(item.query.title, item.query.leaf_category, k=args.k)
-        slots.append(len(rows))
-        rows.append({"item_id": item_id, "title": item.query.title})
-        batch.append(BatchItem(item_id, query))
-
-    results = recommend_batch(model, batch, align=align, max_predictions=args.max_predictions)
-    for slot, result in zip(slots, results):
-        rows[slot]["predictions"] = predictions_to_dicts(result.predictions)
-        if result.error is not None:
-            rows[slot]["error"] = result.error
-
+    # Write each chunk's rows before reading the next, so memory holds one chunk.
+    lines = _read_items(args.items, args.k)
+    total = failed = 0
     out = _open_out(args.output)
     try:
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
+        while chunk := list(islice(lines, _RANK_CHUNK)):
+            items = [item for _, _, item in chunk if item is not None]
+            results = iter(recommend_batch(
+                model, items, align=align, max_predictions=args.max_predictions))
+            for item_id, error, item in chunk:
+                if item is None:
+                    row = {"item_id": item_id, "predictions": []}
+                else:
+                    result = next(results)
+                    row = {"item_id": item_id, "title": item.query.title,
+                           "predictions": predictions_to_dicts(result.predictions)}
+                    error = result.error
+                if error is not None:
+                    row["error"] = error
+                    failed += 1
+                out.write(json.dumps(row) + "\n")
+            total += len(chunk)
     finally:
         _close_out(out)
-    errors = sum(1 for row in rows if "error" in row)
-    if errors:
-        print(f"{errors} of {len(rows)} items failed", file=sys.stderr)
+    if failed:
+        print(f"{failed} of {total} items failed", file=sys.stderr)
     return 0
 
 
@@ -195,29 +194,32 @@ def _make_oracle(spec_text: str) -> evaluation.RelevanceOracle:
 
 def _load_titles(path: str) -> dict[str, str]:
     titles: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) >= 2:
-                titles[fields[0]] = fields[1]
+    for line_no, line, error in curation.read_lines(path):
+        if error is not None:
+            raise ValueError(f"{path}:{line_no}: {error}")
+        fields = line.split("\t")
+        if len(fields) >= 2:
+            titles[fields[0]] = fields[1]
     return titles
 
 
 def _load_universe(path: str) -> dict[str, float]:
     counts: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
+    for line_no, line, error in curation.read_lines(path):
+        fields = line.split("\t")
+        try:
+            if error is not None:
+                raise ValueError(error)
             if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected keyphrase<TAB>count")
-            counts[fields[0]] = float(fields[1])
+                raise ValueError("expected keyphrase<TAB>count")
+            counts[fields[0]] = curation._parse_score(fields[1], "search count")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return counts
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_limits(("--max-in-flight", args.max_in_flight, 1), ("--retries", args.retries, 0))
     run_specs = _parse_runs(args.runs)
     oracle = _make_oracle(args.oracle)
     runs = [evaluation.ModelRun.from_jsonl(name, _require_file(path)) for name, path in run_specs]
@@ -290,7 +292,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    _check_limits(args)
+    _check_limits(("--k", args.k, 1), ("--max-predictions", args.max_predictions, 1))
     if not 0 <= args.port <= 65535:
         raise UsageError(f"--port must be 0-65535, got {args.port}")
     _require_file(args.model)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .vocab import tokenize
 
@@ -98,9 +98,9 @@ INT64_MAX = (1 << 63) - 1
 def utf8_error(text: str) -> str | None:
     """Why ``text`` is not valid UTF-8, or ``None`` when it is.
 
-    Input files are opened with ``errors="surrogateescape"``, which reads
-    each byte that does not decode as a lone surrogate, so one bad byte
-    spoils only its own line, which this check then rejects.
+    :func:`read_lines` decodes each byte that is not UTF-8 as a lone
+    surrogate (``errors="surrogateescape"``), so one bad byte spoils only
+    its own line, which this check then rejects.
     """
     if text.isascii():
         return None
@@ -111,6 +111,18 @@ def utf8_error(text: str) -> str | None:
         byte = f" byte {code - 0xDC00:#04x}" if 0xDC80 <= code <= 0xDCFF else ""
         return f"invalid UTF-8{byte} at column {exc.start + 1}"
     return None
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
+    """Yield ``(line number, line, utf8_error(line))`` per non-blank line of a file.
+
+    The one policy for every input file: universal newlines, line ends
+    stripped, blank lines skipped but counted, line numbers from 1."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line, utf8_error(line)
 
 
 def _parse_score(text: str, what: str) -> float:
@@ -132,61 +144,49 @@ def _looks_like_header(fields: list[str]) -> bool:
 
 
 def ingest(
-    source: IO[str] | str,
+    path: str,
     report: IngestReport | None = None,
     has_header: bool | None = None,
 ) -> Iterator[RawKeyphraseRow]:
-    """Parse a TSV stream into :class:`RawKeyphraseRow` values.
+    """Parse the TSV file at ``path`` into :class:`RawKeyphraseRow` values.
 
-    ``source`` is a path or an open text handle.  Malformed rows (invalid
-    UTF-8, wrong column count, empty keyphrase, a leaf that is not an
-    integer or falls outside the signed 64-bit range, unparseable scores)
-    are recorded in ``report`` with their 1-based line numbers and skipped.
+    Lines are read by :func:`read_lines`.  Malformed rows (invalid UTF-8,
+    wrong column count, empty keyphrase, a leaf that is not an integer or
+    falls outside the signed 64-bit range, unparseable scores) are
+    recorded in ``report`` with their 1-based line numbers and skipped.
     With ``has_header=None`` the first line is sniffed: it is treated as a
     header when its last two columns do not both parse as numbers.
     """
     if report is None:
         report = IngestReport()
-
-    def lines(handle: IO[str]) -> Iterator[RawKeyphraseRow]:
-        first = True
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
+    first = True
+    for line_no, line, error in read_lines(path):
+        fields = line.split("\t")
+        if first:
+            first = False
+            skip = has_header if has_header is not None else _looks_like_header(fields)
+            if skip:
                 continue
-            fields = line.split("\t")
-            if first:
-                first = False
-                skip = has_header if has_header is not None else _looks_like_header(fields)
-                if skip:
-                    continue
-            try:
-                error = utf8_error(line)
-                if error is not None:
-                    raise ValueError(error)
-                if len(fields) != 4:
-                    raise ValueError(f"expected 4 tab-separated columns, got {len(fields)}")
-                keyphrase, leaf_text, search_text, recall_text = fields
-                if not keyphrase.strip():
-                    raise ValueError("empty keyphrase")
-                leaf = int(leaf_text)
-                if not INT64_MIN <= leaf <= INT64_MAX:
-                    raise ValueError(
-                        f"leaf category {leaf_text!r} is outside the signed 64-bit range"
-                    )
-                search = _parse_score(search_text, "search score")
-                recall = _parse_score(recall_text, "recall score")
-            except ValueError as exc:
-                report.errors.append(RowError(line_no, str(exc)))
-                continue
-            report.rows_ok += 1
-            yield RawKeyphraseRow(keyphrase, leaf, search, recall)
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            yield from lines(handle)
-    else:
-        yield from lines(source)
+        try:
+            if error is not None:
+                raise ValueError(error)
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 tab-separated columns, got {len(fields)}")
+            keyphrase, leaf_text, search_text, recall_text = fields
+            if not keyphrase.strip():
+                raise ValueError("empty keyphrase")
+            leaf = int(leaf_text)
+            if not INT64_MIN <= leaf <= INT64_MAX:
+                raise ValueError(
+                    f"leaf category {leaf_text!r} is outside the signed 64-bit range"
+                )
+            search = _parse_score(search_text, "search score")
+            recall = _parse_score(recall_text, "recall score")
+        except ValueError as exc:
+            report.errors.append(RowError(line_no, str(exc)))
+            continue
+        report.rows_ok += 1
+        yield RawKeyphraseRow(keyphrase, leaf, search, recall)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Hashable, Iterable, Sequence
 
+from .curation import read_lines
 from .vocab import tokenize
 
 
@@ -71,17 +72,16 @@ class FixtureOracle(RelevanceOracle):
     def from_tsv(cls, path: str) -> "FixtureOracle":
         """Read ``item_id \\t keyphrase \\t yes|no`` lines."""
         judgments: dict[tuple[str, str], bool] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
+        for line_no, line, error in read_lines(path):
+            fields = line.split("\t")
+            try:
+                if error is not None:
+                    raise ValueError(error)
                 if len(fields) != 3:
-                    raise ValueError(
-                        f"{path}:{line_no}: expected 3 tab-separated columns, got {len(fields)}"
-                    )
+                    raise ValueError(f"expected 3 tab-separated columns, got {len(fields)}")
                 judgments[(fields[0], fields[1])] = parse_yes_no(fields[2])
+            except (ValueError, OracleError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(judgments)
 
     def cache_key(self, item_id: str, title: str | None, keyphrase: str) -> Hashable:
@@ -238,21 +238,21 @@ class ModelRun:
     def from_jsonl(cls, name: str, path: str) -> "ModelRun":
         """Read prediction rows shaped like the infer command's output."""
         items: list[RunItem] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    item_id = str(row["item_id"])
-                    predictions = [
-                        RunPrediction(str(p["keyphrase"]), float(p.get("search", 0.0)))
-                        for p in row.get("predictions", [])
-                    ]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{line_no}: bad prediction row: {exc}") from exc
-                items.append(RunItem(item_id, row.get("title"), predictions))
+        for line_no, line, error in read_lines(path):
+            if not line.strip():
+                continue
+            try:
+                if error is not None:
+                    raise ValueError(error)
+                row = json.loads(line)
+                item_id = str(row["item_id"])
+                predictions = [
+                    RunPrediction(str(p["keyphrase"]), float(p.get("search", 0.0)))
+                    for p in row.get("predictions", [])
+                ]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad prediction row: {exc}") from exc
+            items.append(RunItem(item_id, row.get("title"), predictions))
         return cls(name, items)
 
     def unique_pairs(self) -> list[tuple[str, str | None, str]]:

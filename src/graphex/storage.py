@@ -369,6 +369,10 @@ def from_bytes(data: bytes) -> Model:
         raise TruncatedModelError(
             f"file ends at byte {len(data)}, needed {body_end + 4}"
         )
+    _require(
+        body_end + 4 == len(data),
+        f"trailing bytes: file ends at byte {len(data)}, its checksum trailer at {body_end + 4}",
+    )
     stored_crc = _U32.unpack_from(data, body_end)[0]
     actual_crc = zlib.crc32(memoryview(data)[_HEADER.size:body_end])
     if stored_crc != actual_crc:
@@ -406,6 +410,10 @@ def from_bytes(data: bytes) -> Model:
     _require(
         not n or kp_text_ref.max() < num_strings,
         f"keyphrase text reference outside the {num_strings}-entry string table",
+    )
+    _require(
+        np.isfinite(kp_search).all() and np.isfinite(kp_recall).all(),
+        "keyphrase search or recall score is not finite",
     )
 
     leaves_reader = _Reader(data, offsets[4])

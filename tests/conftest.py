@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from graphex import curation, graph
@@ -32,8 +30,10 @@ HEADPHONES_TITLE = "Audeze Maxwell gaming headphones for Xbox"
 
 
 @pytest.fixture
-def headphones_rows() -> list[curation.RawKeyphraseRow]:
-    return list(curation.ingest(io.StringIO(HEADPHONES_TSV)))
+def headphones_rows(tmp_path) -> list[curation.RawKeyphraseRow]:
+    path = tmp_path / "headphones.tsv"
+    path.write_text(HEADPHONES_TSV)
+    return list(curation.ingest(str(path)))
 
 
 @pytest.fixture

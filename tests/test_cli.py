@@ -7,6 +7,8 @@ import pytest
 
 from graphex import cli, storage
 from graphex.cli import main
+from graphex.graph import UnknownLeafError
+from graphex.inference import Query, predictions_to_dicts, recommend, recommend_batch
 
 from conftest import HEADPHONES_TSV, HEADPHONES_TITLE
 
@@ -147,6 +149,97 @@ def test_infer_writes_an_error_row_for_a_line_with_invalid_utf8(model_path, tmp_
     assert rows[1] == {"item_id": "i2", "predictions": [],
                        "error": "invalid UTF-8 byte 0xe9 at column 8"}
     assert rows[2]["error"] == "invalid UTF-8 byte 0xff at column 1"
+
+
+def test_infer_ranks_at_most_one_chunk_of_items_per_call(model_path, tmp_path, monkeypatch):
+    sizes = []
+
+    def recording(model, items, **kwargs):
+        sizes.append(len(items))
+        return recommend_batch(model, items, **kwargs)
+
+    monkeypatch.setattr(cli, "recommend_batch", recording)
+    items = tmp_path / "items.tsv"
+    items.write_text("".join(f"i{n}\t{HEADPHONES_TITLE}\t42\n" for n in range(200)))
+    out = tmp_path / "preds.jsonl"
+    assert main(["infer", "--model", model_path, "--items", str(items), "--output", str(out)]) == 0
+    assert sum(sizes) == 200 and max(sizes) <= 64
+    assert len(out.read_text().splitlines()) == 200
+
+
+def mixed_items_line(line_no: int) -> bytes:
+    """Line ``line_no`` of a 130-line items file with errors at 63-66 and 128-130."""
+    bad = {
+        63: b"i63\tonly two columns",
+        64: b"i64\taudeze maxwell\tforty-two",
+        65: b"i65\tbad \xff title\t42",
+        66: b"i66\taudeze maxwell\t99",
+        128: b"\xffid\taudeze\t42\r",
+        129: b"i129\taudeze\t7",
+        130: b"i130\ttoo\tmany\tcolumns",
+    }
+    if line_no in bad:
+        return bad[line_no] + b"\n"
+    if line_no % 20 == 0:
+        return b"\n"
+    if line_no % 7 == 0:
+        title = "nothing in common"
+    else:
+        start = line_no % 5
+        title = " ".join(HEADPHONES_TITLE.split()[start:start + 1 + line_no % 4])
+    return f"i{line_no}\t{title}\t42\n".encode()
+
+
+def test_infer_streams_the_same_rows_as_per_item_recommend(model_path, tmp_path, capsys):
+    items = tmp_path / "items.tsv"
+    items.write_bytes(b"".join(mixed_items_line(n) for n in range(1, 131)))
+    out = tmp_path / "preds.jsonl"
+    code = main(["infer", "--model", model_path, "--items", str(items), "--k", "3",
+                 "--output", str(out)])
+    assert code == 0
+
+    model = storage.load(model_path)
+    errors = {
+        63: ("i63", "expected 3 tab-separated columns, got 2"),
+        64: ("i64", "bad leaf category: 'forty-two'"),
+        65: ("i65", "invalid UTF-8 byte 0xff at column 9"),
+        128: ("line-128", "invalid UTF-8 byte 0xff at column 1"),
+        130: ("i130", "expected 3 tab-separated columns, got 4"),
+    }
+    expected = []
+    for line_no in range(1, 131):
+        if line_no in errors:
+            item_id, error = errors[line_no]
+            expected.append({"item_id": item_id, "predictions": [], "error": error})
+            continue
+        fields = mixed_items_line(line_no).decode().rstrip("\r\n").split("\t")
+        if fields == [""]:
+            continue
+        item_id, title, leaf = fields
+        row = {"item_id": item_id, "title": title}
+        try:
+            row["predictions"] = predictions_to_dicts(
+                recommend(model, Query(title, int(leaf), k=3)))
+        except UnknownLeafError as exc:
+            row.update(predictions=[], error=str(exc))
+        expected.append(row)
+    assert out.read_text() == "".join(json.dumps(row) + "\n" for row in expected)
+    assert sum(1 for row in expected if row["predictions"]) > 90
+    assert sum(1 for row in expected if not row["predictions"] and "error" not in row) > 10
+    assert [row["item_id"] for row in expected if "error" in row] == [
+        "i63", "i64", "i65", "i66", "line-128", "i129", "i130"]
+    assert capsys.readouterr().err == f"7 of {len(expected)} items failed\n"
+
+
+def test_infer_output_naming_the_items_file_exits_2(model_path, tmp_path, capsys):
+    items = tmp_path / "items.tsv"
+    items.write_text(f"i1\t{HEADPHONES_TITLE}\t42\n")
+    for output in (str(items), str(tmp_path / "." / "items.tsv")):
+        code = main(["infer", "--model", model_path, "--items", str(items),
+                     "--output", output])
+        assert code == 2
+        assert "--output must differ from --items" in capsys.readouterr().err
+        assert items.read_text() == f"i1\t{HEADPHONES_TITLE}\t42\n"
 
 
 @pytest.mark.parametrize("command", ["infer", "serve"])
@@ -314,3 +407,58 @@ def test_eval_bad_oracle_spec_exits_2(tmp_path, capsys):
     code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", "psychic"])
     assert code == 2
     assert "oracle" in capsys.readouterr().err
+
+
+def test_eval_fixture_answer_that_is_not_yes_or_no_names_file_and_line(tmp_path, capsys):
+    paths, fixture, _ = eval_setup(tmp_path)
+    with open(fixture, "a") as handle:
+        handle.write("i2\tu7\tmaybe\n")
+    code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {fixture}:7: cannot parse yes/no answer from 'maybe'\n")
+
+
+@pytest.mark.parametrize("count", ["lots", "nan", "inf", "-3"])
+def test_eval_bad_universe_count_names_file_and_line(count, tmp_path, capsys):
+    paths, fixture, universe = eval_setup(tmp_path)
+    with open(universe, "a") as handle:
+        handle.write(f"u99\t{count}\n")
+    code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}",
+                 "--keyphrase-universe", universe])
+    assert code == 1
+    message = (f"could not convert string to float: {count!r}" if count == "lots" else
+               f"search count must be a non-negative finite number, got {count!r}")
+    assert capsys.readouterr().err == f"error: {universe}:11: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["run", "items", "fixture", "universe"])
+def test_eval_invalid_utf8_names_file_and_line(which, tmp_path, capsys):
+    paths, fixture, universe = eval_setup(tmp_path)
+    items = tmp_path / "items.tsv"
+    items.write_text("i1\ttitle i1\t42\ni2\ttitle i2\t42\n")
+    path = {"run": paths["ours"], "items": str(items), "fixture": fixture,
+            "universe": universe}[which]
+    with open(path, "ab") as handle:
+        handle.write(b"\n\xff\n")
+    lines = open(path, "rb").read().count(b"\n")
+    code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}",
+                 "--items", str(items), "--keyphrase-universe", universe])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{lines}: " in err and "invalid UTF-8 byte 0xff at column 1" in err
+
+
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("--retries", "-1", 0), ("--max-in-flight", "0", 1), ("--max-in-flight", "-3", 1),
+])
+def test_eval_bad_retries_or_max_in_flight_exit_2_before_reading_runs(
+    flag, value, minimum, tmp_path, capsys, monkeypatch
+):
+    paths, fixture, _ = eval_setup(tmp_path)
+    monkeypatch.setattr(cli.evaluation.ModelRun, "from_jsonl",
+                        lambda name, path: pytest.fail("run file read"))
+    code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}",
+                 flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= {minimum}, got {value}\n"

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import io
+import os
 import random
+import tempfile
 
 import pytest
 
@@ -13,6 +14,7 @@ from graphex.curation import (
     ScoreOrientation,
     curate,
     ingest,
+    read_lines,
 )
 
 from helpers import make_rows
@@ -20,8 +22,23 @@ from helpers import make_rows
 
 def rows_from(text: str, **kwargs):
     report = IngestReport()
-    parsed = list(ingest(io.StringIO(text), report=report, **kwargs))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        parsed = list(ingest(path, report=report, **kwargs))
     return parsed, report
+
+
+def test_read_lines_skips_and_counts_blank_lines_and_flags_invalid_utf8(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"one\r\n\n\r\nt\xffo\rthree\nlast")
+    assert list(read_lines(str(path))) == [
+        (1, "one", None),
+        (4, "t\udcffo", "invalid UTF-8 byte 0xff at column 2"),
+        (5, "three", None),
+        (6, "last", None),
+    ]
 
 
 def test_ingest_parses_well_formed_rows():

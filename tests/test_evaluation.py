@@ -463,6 +463,15 @@ def test_model_run_from_jsonl_round_trip(tmp_path):
         ModelRun.from_jsonl("m", str(bad))
 
 
+def test_model_run_from_jsonl_skips_blank_lines_and_names_a_bad_one(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(b'\n  \n{"item_id": "i1"}\r\n\t\n{"item_id": "i2"}\n')
+    assert [item.item_id for item in ModelRun.from_jsonl("m", str(path)).items] == ["i1", "i2"]
+    path.write_bytes(b'{"item_id": "i1"}\n\n{"item_id": "\xe9"}\n')
+    with pytest.raises(ValueError, match=r":3: bad prediction row: invalid UTF-8 byte 0xe9"):
+        ModelRun.from_jsonl("m", str(path))
+
+
 def test_build_judgment_map_rejects_conflicts():
     from graphex.evaluation import Judgment
 

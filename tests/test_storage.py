@@ -104,6 +104,16 @@ def test_truncated_file_is_detected(headphones_model):
             from_bytes(data[:cut])
 
 
+def test_bytes_after_the_checksum_trailer_are_rejected(headphones_model):
+    data = to_bytes(headphones_model)
+    for extra in (b"\x00", b"trailer"):
+        with pytest.raises(MalformedModelError, match=(
+            f"trailing bytes: file ends at byte {len(data) + len(extra)}, "
+            f"its checksum trailer at {len(data)}"
+        )):
+            from_bytes(data + extra)
+
+
 def test_corrupted_body_fails_checksum(headphones_model):
     data = bytearray(to_bytes(headphones_model))
     data[len(data) // 2] ^= 0xFF
@@ -461,6 +471,14 @@ MALFORMED = {
         [("aa bb", 1)], edit_text(b"aa bb\n", b"aa bbb"), "string table does not end"),
     "keyphrase string table entry count differs from its header": (
         [("aa bb", 1)], edit_text(b"aa bb\n", b"aa\nbb\n"), "string table holds 2 entries, not 1"),
+    # A NaN search score ranked and reached the output as "search": NaN,
+    # which is not JSON.
+    "search score is NaN": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_search", 1, np.nan), "not finite"),
+    "search score is infinite": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_search", 0, -np.inf), "not finite"),
+    "recall score is infinite": (
+        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_recall", 1, np.inf), "not finite"),
 }
 
 
