@@ -26,7 +26,7 @@ from .inference import (
     Alignment,
     BatchItem,
     Query,
-    predictions_to_dicts,
+    encode_row,
     recommend_batch,
 )
 from .server import ServeConfig, serve
@@ -145,18 +145,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
             items = [item for _, _, item in chunk if item is not None]
             results = iter(recommend_batch(
                 model, items, align=align, max_predictions=args.max_predictions))
+            rows = []
             for item_id, error, item in chunk:
-                if item is None:
-                    row = {"item_id": item_id, "predictions": []}
-                else:
+                title, predictions = None, []
+                if item is not None:
                     result = next(results)
-                    row = {"item_id": item_id, "title": item.query.title,
-                           "predictions": predictions_to_dicts(result.predictions)}
-                    error = result.error
-                if error is not None:
-                    row["error"] = error
-                    failed += 1
-                out.write(json.dumps(row) + "\n")
+                    title, predictions, error = item.query.title, result.predictions, result.error
+                failed += error is not None
+                rows.append(encode_row(predictions, item_id, title, error) + "\n")
+            out.write("".join(rows))
             total += len(chunk)
     finally:
         _close_out(out)
@@ -198,8 +195,9 @@ def _load_titles(path: str) -> dict[str, str]:
         if error is not None:
             raise ValueError(f"{path}:{line_no}: {error}")
         fields = line.split("\t")
-        if len(fields) >= 2:
-            titles[fields[0]] = fields[1]
+        if len(fields) < 2:
+            raise ValueError(f"{path}:{line_no}: expected item_id<TAB>title")
+        titles[fields[0]] = fields[1]
     return titles
 
 
@@ -403,7 +401,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Standard output's reader left early (``graphex stats | head -1``).
+        # Say nothing; pointing stdout at devnull keeps the flush at exit
+        # quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

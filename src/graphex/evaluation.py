@@ -23,6 +23,9 @@ from typing import Hashable, Iterable, Sequence
 from .curation import read_lines
 from .vocab import tokenize
 
+# Largest completion reply read; a longer one is an oracle error.
+MAX_COMPLETION_BYTES = 1 << 20
+
 
 class OracleError(Exception):
     """A relevance oracle could not produce a judgment for a pair."""
@@ -141,9 +144,11 @@ class HttpCompletionOracle(RelevanceOracle):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = response.read()
+                payload = response.read(MAX_COMPLETION_BYTES + 1)
         except (urllib.error.URLError, OSError) as exc:
             raise OracleError(f"completion request failed: {exc}") from exc
+        if len(payload) > MAX_COMPLETION_BYTES:
+            raise OracleError(f"completion reply exceeds {MAX_COMPLETION_BYTES} bytes")
         return parse_yes_no(_extract_completion(payload))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -346,7 +347,7 @@ def recommend_batch(
 
 
 def predictions_to_dicts(predictions: Iterable[Prediction]) -> list[dict]:
-    """JSON-ready prediction rows, shared by batch output and the server."""
+    """JSON-ready prediction rows, the shape :func:`encode_row` writes."""
     return [
         {
             "keyphrase": pred.keyphrase,
@@ -356,3 +357,31 @@ def predictions_to_dicts(predictions: Iterable[Prediction]) -> list[dict]:
         }
         for pred in predictions
     ]
+
+
+def encode_row(
+    predictions: Iterable[Prediction],
+    item_id: str | None = None,
+    title: str | None = None,
+    error: str | None = None,
+) -> str:
+    """``json.dumps`` of a result row, written without building dicts.
+
+    The row holds ``item_id``, ``title``, ``predictions`` (as
+    :func:`predictions_to_dicts`) and ``error`` in that order, leaving
+    out those given as None; ``encode_row(predictions)`` is the body the
+    server answers.  ``infer`` and ``serve`` both write rows with it, so
+    their outputs agree byte for byte.  Scores print with ``%r`` as
+    ``json.dumps`` prints them: a loaded model's scores are all finite.
+    """
+    fields = [] if item_id is None else ['"item_id": ' + _json_string(item_id)]
+    if title is not None:
+        fields.append('"title": ' + _json_string(title))
+    fields.append('"predictions": [' + ", ".join([
+        '{"keyphrase": %s, "align": %r, "search": %r, "recall": %r}'
+        % (_json_string(pred.keyphrase), pred.align, pred.search, pred.recall)
+        for pred in predictions
+    ]) + "]")
+    if error is not None:
+        fields.append('"error": ' + _json_string(error))
+    return "{" + ", ".join(fields) + "}"

@@ -1,9 +1,9 @@
 """Minimal threaded HTTP endpoint serving model recommendations.
 
 One immutable model is shared across handler threads; queries never
-mutate it, so no locking is needed on the read path.  Responses reuse the
-same prediction serializer as batch inference, keeping the two output
-paths byte-identical for identical inputs.
+mutate it, so no locking is needed on the read path.  A ``/recommend``
+answer is written by the same row encoder as batch inference, keeping the
+two output paths byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .inference import (
     DEFAULT_MAX_PREDICTIONS,
     Alignment,
     Query,
-    predictions_to_dicts,
+    encode_row,
     recommend,
 )
 
@@ -99,17 +99,30 @@ class RecommendServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: RecommendServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    # Seconds a connection may sit idle or stall mid-request; a body
+    # shorter than its Content-Length then closes the connection instead
+    # of holding the handler thread forever.
+    timeout = 30
 
     def log_message(self, format: str, *args) -> None:
         log.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send_json(self, status: int, payload: dict | str) -> None:
+        """Send one JSON response: ``payload`` as JSON text, or a dict to dump."""
+        body = (payload if isinstance(payload, str) else json.dumps(payload)).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body leave in one send: a second send
+        # would wait on the client's delayed ACK (~40 ms) under Nagle's
+        # algorithm.  wfile stays unbuffered so that the interim
+        # "100 Continue" of an Expect request is not held back.
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # HTTP/0.9 answers carry no headers
+        else:
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
 
     def do_GET(self) -> None:
         if self.path != "/healthz":
@@ -163,11 +176,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except UnknownLeafError as exc:
             if config.unknown_leaf_empty:
-                self._send_json(200, {"predictions": []})
+                self._send_json(200, encode_row([]))
             else:
                 self._send_json(404, {"error": str(exc)})
             return
-        self._send_json(200, {"predictions": predictions_to_dicts(predictions)})
+        self._send_json(200, encode_row(predictions))
 
 
 def serve(config: ServeConfig, model: Model) -> None:

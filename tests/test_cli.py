@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import zlib
 
 import pytest
 
+import graphex
 from graphex import cli, storage
 from graphex.cli import main
 from graphex.graph import UnknownLeafError
@@ -229,6 +233,29 @@ def test_infer_streams_the_same_rows_as_per_item_recommend(model_path, tmp_path,
     assert [row["item_id"] for row in expected if "error" in row] == [
         "i63", "i64", "i65", "i66", "line-128", "i129", "i130"]
     assert capsys.readouterr().err == f"7 of {len(expected)} items failed\n"
+
+
+def test_infer_rows_equal_json_dumps_with_awkward_ids_and_titles(model_path, tmp_path):
+    awkward = ['"quoted"', "back\\slash", "café \U0001f3a7", "ctl\x01\x1f\x7f", "\u2028"]
+    lines, expected = [], []
+    model = storage.load(model_path)
+    for n, text in enumerate(awkward):
+        item_id, title = f"i{n} {text}", f"{HEADPHONES_TITLE} {text}"
+        lines += [f"{item_id}\t{title}\t42", f"{item_id}\t{title}\t99", f"{item_id}\t{title}"]
+        expected += [
+            {"item_id": item_id, "title": title, "predictions": predictions_to_dicts(
+                recommend(model, Query(title, 42)))},
+            {"item_id": item_id, "title": title, "predictions": [],
+             "error": "unknown leaf category: 99"},
+            {"item_id": item_id, "predictions": [],
+             "error": "expected 3 tab-separated columns, got 2"},
+        ]
+    items = tmp_path / "items.tsv"
+    items.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    assert main(["infer", "--model", model_path, "--items", str(items), "--output", str(out)]) == 0
+    assert all(row["predictions"] for row in expected[::3])
+    assert out.read_text() == "".join(json.dumps(row) + "\n" for row in expected)
 
 
 def test_infer_output_naming_the_items_file_exits_2(model_path, tmp_path, capsys):
@@ -462,3 +489,38 @@ def test_eval_bad_retries_or_max_in_flight_exit_2_before_reading_runs(
                  flag, value])
     assert code == 2
     assert capsys.readouterr().err == f"error: {flag} must be >= {minimum}, got {value}\n"
+
+
+def test_eval_titles_line_without_a_tab_names_file_and_line(tmp_path, capsys):
+    paths, _, _ = eval_setup(tmp_path)
+    items = tmp_path / "items.tsv"
+    items.write_text("i1\ttitle i1\textra column\ni2 title i2\n")
+    code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", "heuristic",
+                 "--items", str(items)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {items}:2: expected item_id<TAB>title\n"
+
+
+def run_with_closed_stdout(args: list[str], lines_read: int) -> tuple[int, bytes]:
+    """Run ``graphex`` with a stdout reader that leaves after ``lines_read`` lines."""
+    src = os.path.dirname(os.path.dirname(graphex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "graphex.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_stats_to_a_closed_pipe_exits_1_quietly(model_path):
+    assert run_with_closed_stdout(["stats", "--model", model_path], 0) == (1, b"")
+
+
+def test_streamed_infer_to_a_closed_pipe_exits_1_quietly(model_path, tmp_path):
+    items = tmp_path / "items.tsv"
+    items.write_text("".join(f"i{n}\t{HEADPHONES_TITLE}\t42\n" for n in range(3000)))
+    args = ["infer", "--model", model_path, "--items", str(items)]
+    assert run_with_closed_stdout(args, 2) == (1, b"")

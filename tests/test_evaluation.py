@@ -9,6 +9,7 @@ import pytest
 
 from graphex.evaluation import (
     FixtureOracle,
+    MAX_COMPLETION_BYTES,
     HttpCompletionOracle,
     JudgmentCache,
     ModelRun,
@@ -189,7 +190,10 @@ class _CompletionHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
-        self.wfile.write(raw)
+        try:
+            self.wfile.write(raw)
+        except ConnectionError:
+            pass  # the client stopped reading a reply it found too long
 
     def log_message(self, *args):
         pass
@@ -226,6 +230,18 @@ def test_http_oracle_raises_on_garbage_and_transport_errors(completion_server):
     dead = HttpCompletionOracle("http://127.0.0.1:1/complete", timeout=0.2)
     with pytest.raises(OracleError):
         dead.relevant("i", "t", "k")
+
+
+def test_http_oracle_reads_at_most_a_capped_reply(completion_server):
+    url, responses = completion_server
+    assert MAX_COMPLETION_BYTES == 1 << 20
+    at_cap = b'{"text": "yes"}'.ljust(MAX_COMPLETION_BYTES)
+    responses.extend([(200, at_cap), (200, b"x" * (2 << 20)), (200, at_cap + b" ")])
+    oracle = HttpCompletionOracle(url)
+    assert oracle.relevant("i", "t", "k") is True
+    for _ in range(2):
+        with pytest.raises(OracleError, match=f"completion reply exceeds {1 << 20} bytes"):
+            oracle.relevant("i", "t", "k")
 
 
 def test_http_oracle_failures_surface_as_judge_errors(completion_server):

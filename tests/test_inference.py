@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import threading
 
@@ -12,9 +13,12 @@ from graphex.inference import (
     _RANK_CHUNK,
     Alignment,
     BatchItem,
+    Prediction,
     Query,
     _prune_cutoff,
+    encode_row,
     enumerate_candidates,
+    predictions_to_dicts,
     recommend,
     recommend_batch,
 )
@@ -420,3 +424,45 @@ def test_recommend_batch_equals_recommend_per_item(seed):
             else:
                 assert result.error is None
                 assert result.predictions == expected
+
+
+# Text json.dumps escapes: non-ASCII (including outside the BMP), quotes,
+# backslashes, control characters, DEL and the JSON-unsafe separators.
+AWKWARD_TEXTS = [
+    "café crème", 'say "hi"', "back\\slash \\u0041", "tab\tnew\nline\r\x00\x1f\x7f",
+    "headphones \U0001f3a7", "\u2028\u2029", "/slash", "", "ünïcödé \ud7ff \ue000",
+]
+
+
+def test_encode_row_matches_json_dumps_of_prediction_dicts(headphones_model):
+    awkward = [
+        Prediction(text, align, search, recall, position)
+        for position, (text, align, search, recall) in enumerate(zip(
+            AWKWARD_TEXTS,
+            [3.0, 0.1, 1 / 3, 1e-300, 2.5e-7, 1e21, 0.0, 12345678.9, 2],
+            [1.0, -0.0, 1e16, 7, 0.30000000000000004, 2.0, 5e-324, 1.5, 100.0],
+            [5.0, 4.0, 3.0, 2.0, 1.0, 1.7976931348623157e308, 0.5, 0.25, 9],
+        ), start=1)
+    ]
+    real = recommend(headphones_model, Query(HEADPHONES_TITLE, HEADPHONES_LEAF, k=5))
+    assert real
+    for predictions in (awkward, real, awkward[:1], []):
+        assert encode_row(predictions) == json.dumps(
+            {"predictions": predictions_to_dicts(predictions)})
+
+
+@pytest.mark.parametrize("text", AWKWARD_TEXTS)
+def test_encode_row_matches_json_dumps_for_every_row_shape(headphones_model, text):
+    predictions = recommend(headphones_model, Query(HEADPHONES_TITLE, HEADPHONES_LEAF))
+    item_id, title, error = f"id {text}", f"title {text}", f"error {text}"
+    shapes = [
+        ({"item_id": item_id, "title": title,
+          "predictions": predictions_to_dicts(predictions)},
+         encode_row(predictions, item_id, title)),
+        ({"item_id": item_id, "predictions": [], "error": error},
+         encode_row([], item_id, error=error)),
+        ({"item_id": item_id, "title": title, "predictions": [], "error": error},
+         encode_row([], item_id, title, error)),
+    ]
+    for row, encoded in shapes:
+        assert encoded == json.dumps(row)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from graphex.inference import BatchItem, Query, predictions_to_dicts, recommend_batch
-from graphex.server import RecommendServer, ServeConfig
+from graphex.server import RecommendServer, ServeConfig, _Handler
 
 from conftest import HEADPHONES_LEAF, HEADPHONES_TITLE
 
@@ -199,3 +202,110 @@ def test_bad_content_length_is_400_and_closes(server, value):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert b"Content-Length must be a non-negative integer" in reply
 
+
+def test_a_body_shorter_than_its_content_length_closes_the_connection(server, monkeypatch):
+    # Connections time out by default; shorten the wait for the test.
+    assert 0 < _Handler.timeout <= 60
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    started = time.monotonic()
+    assert raw_post(server, "100", body=b'{"t') == b""
+    assert time.monotonic() - started < 4
+
+
+RECOMMEND_BODY = json.dumps(
+    {"title": HEADPHONES_TITLE, "leaf_category": HEADPHONES_LEAF, "k": 5}).encode()
+
+
+def test_keep_alive_requests_do_not_wait_for_delayed_acks(server):
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    latencies = []
+    try:
+        for _ in range(50):
+            time.sleep(0.002)
+            started = time.perf_counter()
+            conn.request("POST", "/recommend", body=RECOMMEND_BODY,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.read()
+            latencies.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    # A response sent in two writes waits ~40 ms for the client's delayed ACK.
+    assert statistics.median(latencies) < 0.020
+
+
+class CountingSocket:
+    """A connected socket that records the bytes of every send made on it."""
+
+    def __init__(self, sock: socket.socket, sends: list[bytes]):
+        self._sock = sock
+        self._sends = sends
+
+    def send(self, data) -> int:
+        self._sends.append(bytes(data))
+        return self._sock.send(data)
+
+    def sendall(self, data) -> None:
+        self._sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_each_response_leaves_in_one_send(server, monkeypatch):
+    sends: list[bytes] = []
+    finish_request = RecommendServer.finish_request
+    monkeypatch.setattr(
+        RecommendServer, "finish_request",
+        lambda self, request, address: finish_request(
+            self, CountingSocket(request, sends), address))
+    requests = [
+        ("POST", "/recommend", RECOMMEND_BODY, 200),
+        ("POST", "/recommend", json.dumps({"title": "x", "leaf_category": 999}).encode(), 404),
+        ("POST", "/recommend", b"{not json", 400),
+        ("GET", "/healthz", None, 200),
+        ("POST", "/recommend", RECOMMEND_BODY, 200),
+    ]
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    try:
+        for number, (method, path, body, status) in enumerate(requests, start=1):
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            answer = resp.read()
+            assert resp.status == status
+            assert len(sends) == number
+            assert sends[-1].startswith(f"HTTP/1.1 {status} ".encode())
+            assert sends[-1].endswith(b"\r\n\r\n" + answer)
+    finally:
+        conn.close()
+    assert json.loads(answer)["predictions"]
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(server):
+    head = (
+        "POST /recommend HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+        f"Connection: close\r\nContent-Length: {len(RECOMMEND_BODY)}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(65536)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(RECOMMEND_BODY)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(reply.partition(b"\r\n\r\n")[2])["predictions"]
+
+
+def test_http_0_9_request_gets_the_bare_body(server):
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    assert json.loads(b"".join(chunks))["status"] == "ok"
