@@ -70,6 +70,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     orientation = curation.ScoreOrientation.from_name(args.score_orientation)
     started = time.perf_counter()
     report = curation.IngestReport()
+    # Ingest feeds curate row by row, so the two are timed together.
     rows = curation.ingest(args.input, report=report)
     dataset = curation.curate(
         rows,
@@ -77,6 +78,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         orientation=orientation,
         meta_category=args.meta_category,
     )
+    curate_s = time.perf_counter() - started
     for error in report.errors[:MAX_REPORTED_ROW_ERRORS]:
         print(f"{args.input}:{error.line_no}: {error.message}", file=sys.stderr)
     if report.rows_bad > MAX_REPORTED_ROW_ERRORS:
@@ -86,16 +88,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     for warning in dataset.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    build_started = time.perf_counter()
     model = build(dataset)
+    save_started = time.perf_counter()
     nbytes = storage.save(model, args.output)
-    elapsed = time.perf_counter() - started
+    finished = time.perf_counter()
     total_edges = sum(g.num_edges for g in model.leaf_graphs.values())
     print(f"rows: {report.rows_ok} ok, {report.rows_bad} malformed")
     print(
         f"model: {len(model.leaf_graphs)} leaves, {len(model.vocabulary)} tokens, "
         f"{total_edges} edges, {model.num_keyphrases} keyphrases"
     )
-    print(f"wrote {args.output} ({nbytes} bytes) in {elapsed:.2f}s")
+    print(
+        f"wrote {args.output} ({nbytes} bytes) in {finished - started:.2f}s "
+        f"(read+curate {curate_s:.2f}s, build {save_started - build_started:.2f}s, "
+        f"save {finished - save_started:.2f}s)"
+    )
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .vocab import tokenize
 
@@ -62,8 +62,7 @@ COUNT_ORIENTATION = ScoreOrientation(search_higher_better=True, recall_lower_bet
 RANK_ORIENTATION = ScoreOrientation(search_higher_better=False, recall_lower_better=False)
 
 
-@dataclass(frozen=True)
-class RawKeyphraseRow:
+class RawKeyphraseRow(NamedTuple):
     """One parsed input row, scores still in their raw convention."""
 
     keyphrase: str
@@ -122,7 +121,7 @@ def read_lines(path: str) -> Iterator[tuple[int, str, str | None]]:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line:
-                yield line_no, line, utf8_error(line)
+                yield line_no, line, None if line.isascii() else utf8_error(line)
 
 
 def _parse_score(text: str, what: str) -> float:
@@ -189,8 +188,7 @@ def ingest(
         yield RawKeyphraseRow(keyphrase, leaf, search, recall)
 
 
-@dataclass(frozen=True)
-class CuratedKeyphrase:
+class CuratedKeyphrase(NamedTuple):
     """A retained keyphrase: normalized text plus raw scores."""
 
     text: str
@@ -243,37 +241,40 @@ def curate(
     tokenizer, the one queries use, so graph construction, curation and
     inference can never disagree on token identity.
     """
-    stats = CurationStats()
-    warnings: list[str] = []
+    higher_better = orientation.search_higher_better
     min_canonical = None if min_search is None else orientation.canonical_search(min_search)
+    rows_in = kept = dropped_by_threshold = dropped_empty = deduplicated = 0
 
-    # (leaf, normalized text) -> (canonical search, CuratedKeyphrase)
-    best: dict[int, dict[str, tuple[float, CuratedKeyphrase]]] = {}
-    for row in rows:
-        stats.rows_in += 1
-        tokens = tokenize(row.keyphrase)
+    # leaf -> normalized text -> the row kept so far
+    best: dict[int, dict[str, CuratedKeyphrase]] = {}
+    for keyphrase, leaf, search, recall in rows:
+        rows_in += 1
+        tokens = tokenize(keyphrase)
         if not tokens:
-            stats.dropped_empty += 1
+            dropped_empty += 1
             continue
-        canonical = orientation.canonical_search(row.search_score)
+        # orientation.canonical_search, inlined.
+        canonical = search if higher_better else -search
         if min_canonical is not None and canonical < min_canonical:
-            stats.dropped_by_threshold += 1
+            dropped_by_threshold += 1
             continue
         text = " ".join(tokens)
-        group = best.setdefault(row.leaf_category, {})
-        kept = group.get(text)
-        if kept is not None:
-            stats.deduplicated += 1
-            if canonical > kept[0]:
-                group[text] = (canonical, CuratedKeyphrase(text, row.search_score, row.recall_score))
-            continue
-        group[text] = (canonical, CuratedKeyphrase(text, row.search_score, row.recall_score))
-        stats.kept += 1
+        group = best.get(leaf)
+        if group is None:
+            group = best[leaf] = {}
+        previous = group.get(text)
+        if previous is not None:
+            deduplicated += 1
+            if not canonical > orientation.canonical_search(previous.search_score):
+                continue
+        else:
+            kept += 1
+        group[text] = CuratedKeyphrase(text, search, recall)
 
-    leaves = {
-        leaf: [kept for _, (_, kept) in sorted(group.items())]
-        for leaf, group in sorted(best.items())
-    }
+    leaves = {leaf: [group[text] for text in sorted(group)] for leaf, group in sorted(best.items())}
+    stats = CurationStats(rows_in=rows_in, kept=kept, dropped_by_threshold=dropped_by_threshold,
+                          dropped_empty=dropped_empty, deduplicated=deduplicated)
+    warnings: list[str] = []
     dataset = CuratedDataset(meta_category, orientation, leaves, stats, warnings)
     if dataset.is_vacuous:
         warnings.append(

@@ -11,6 +11,7 @@ the same curated dataset always produces the same model, byte for byte.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -221,6 +222,14 @@ class Model:
         return self.kp_texts[int(self.kp_text_ref[kp_id])]
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 def build(dataset: CuratedDataset) -> Model:
     """Construct an immutable model from a curated dataset.
 
@@ -230,64 +239,66 @@ def build(dataset: CuratedDataset) -> Model:
     yields a valid model with zero leaves.
     """
     leaf_ids = sorted(dataset.leaves)
+    by_text = operator.attrgetter("text")
+    groups = [sorted(dataset.leaves[leaf], key=by_text) for leaf in leaf_ids]
+    keyphrases = list(chain.from_iterable(groups))
+    texts = [kp.text for kp in keyphrases]
 
-    # Shared string table and token vocabulary, both in sorted order so
-    # that ids are reproducible across builds.
-    unique_texts = sorted({kp.text for leaf in leaf_ids for kp in dataset.leaves[leaf]})
-    text_index = {text: i for i, text in enumerate(unique_texts)}
+    # Shared string table, sorted so that ids are reproducible across
+    # builds.  Each leaf's texts are one sorted run, which sorting merges.
+    unique_texts = list(dict.fromkeys(sorted(texts)))
+    text_index = dict(zip(unique_texts, range(len(unique_texts))))
 
-    vocabulary = Vocabulary(sorted({tok for text in unique_texts for tok in text.split()}))
-    lookup = vocabulary.lookup
+    # Every token of every keyphrase, interned in one pass; token ids
+    # follow sorted token order.
+    tokens = " ".join(texts).split()
+    vocabulary = Vocabulary(sorted(set(tokens)))
+    token_ids = np.fromiter(map(vocabulary.lookup, tokens), np.uint64, len(tokens))
+    # Counted without keeping a list per keyphrase alive for the garbage
+    # collector to walk.
+    token_counts = np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
+    token_starts = np.concatenate(([0], np.cumsum(token_counts)))
+    kp_ids = np.repeat(np.arange(len(keyphrases), dtype=np.uint64), token_counts)
+    # One uint64 key per (token, keyphrase) pair, both ids below 2**32:
+    # sorted, a leaf's keys run by token, then keyphrase, and a token
+    # repeated in a keyphrase gives equal keys side by side.  Both
+    # operands stay uint64; numpy mixes uint64 and int64 into float.
+    keys = token_ids << np.uint64(32) | kp_ids
 
-    orientation = dataset.orientation
-    text_refs: list[int] = []
-    lengths: list[int] = []
-    searches: list[float] = []
-    recalls: list[float] = []
+    kp_lengths = np.zeros(len(keyphrases), dtype=np.uint32)
     leaf_graphs: dict[int, LeafGraph] = {}
-
-    for leaf_id in leaf_ids:
-        group = sorted(dataset.leaves[leaf_id], key=lambda kp: kp.text)
-        kp_base = len(lengths)
-        edge_tokens: list[int] = []
-        for kp in group:
-            token_ids = {lookup(tok) for tok in kp.text.split()}
-            text_refs.append(text_index[kp.text])
-            lengths.append(len(token_ids))
-            searches.append(orientation.canonical_search(kp.search_score))
-            recalls.append(orientation.canonical_recall(kp.recall_score))
-            edge_tokens.extend(token_ids)
-
-        # CSR for this leaf: sort (token, keyphrase) pairs by token then
-        # keyphrase and slice rows out of the flat edge array.
-        tok_col = np.asarray(edge_tokens, dtype=np.int64)
-        kp_col = np.repeat(
-            np.arange(kp_base, len(lengths), dtype=np.int64),
-            np.asarray(lengths[kp_base:], dtype=np.int64),
-        )
-        order = np.lexsort((kp_col, tok_col))
-        tok_col = tok_col[order]
-        kp_col = kp_col[order]
-        token_rows, counts = np.unique(tok_col, return_counts=True)
-        offsets = np.zeros(len(token_rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+    kp_base = 0
+    for leaf_id, group in zip(leaf_ids, groups):
+        kp_end = kp_base + len(group)
+        # CSR for this leaf: one edge per distinct key, rows where the
+        # token changes.
+        leaf_keys = np.sort(keys[token_starts[kp_base]:token_starts[kp_end]])
+        leaf_keys = leaf_keys[_run_starts(leaf_keys)]
+        edges = leaf_keys.astype(np.uint32)  # the low 32 bits: keyphrase ids
+        edge_tokens = (leaf_keys >> np.uint64(32)).astype(np.uint32)
+        starts = np.flatnonzero(_run_starts(edge_tokens))
+        kp_lengths[kp_base:kp_end] = np.bincount(edges - np.uint32(kp_base), minlength=len(group))
         leaf_graphs[leaf_id] = LeafGraph(
             leaf_category=leaf_id,
-            token_rows=token_rows.astype(np.uint32),
-            offsets=offsets,
-            edges=kp_col.astype(np.uint32),
+            token_rows=edge_tokens[starts],
+            offsets=np.append(starts, len(edges)).astype(np.int64, copy=False),
+            edges=edges,
             kp_base=kp_base,
             num_keyphrases=len(group),
         )
+        kp_base = kp_end
 
+    orientation = dataset.orientation
     return Model(
         meta_category=dataset.meta_category,
         orientation=orientation,
         vocabulary=vocabulary,
         kp_texts=StringTable(unique_texts),
-        kp_text_ref=np.asarray(text_refs, dtype=np.uint32),
-        kp_lengths=np.asarray(lengths, dtype=np.uint32),
-        kp_search=np.asarray(searches, dtype=np.float64),
-        kp_recall=np.asarray(recalls, dtype=np.float64),
+        kp_text_ref=np.fromiter(map(text_index.__getitem__, texts), np.uint32, len(texts)),
+        kp_lengths=kp_lengths,
+        kp_search=orientation.canonical_search(
+            np.array([kp.search_score for kp in keyphrases], dtype=np.float64)),
+        kp_recall=orientation.canonical_recall(
+            np.array([kp.recall_score for kp in keyphrases], dtype=np.float64)),
         leaf_graphs=leaf_graphs,
     )

@@ -22,6 +22,11 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
+# The ASCII code points of category P*, for stripping ASCII tokens.
+_ASCII_PUNCT = "".join(ch for ch in map(chr, range(128))
+                       if unicodedata.category(ch).startswith("P"))
+
+
 def tokenize(text: str) -> list[str]:
     """Split ``text`` into normalized tokens.
 
@@ -30,6 +35,14 @@ def tokenize(text: str) -> list[str]:
     normalize to the empty string are dropped, so the result never
     contains empties.
     """
+    if text.isascii():
+        # ASCII text is already NFC, so the whole string is lowercased
+        # and split once; when every piece is alphanumeric, none has
+        # punctuation to strip.
+        pieces = text.lower().split()
+        if "".join(pieces).isalnum():
+            return pieces
+        return [tok for tok in (piece.strip(_ASCII_PUNCT) for piece in pieces) if tok]
     out: list[str] = []
     for raw in unicodedata.normalize("NFC", text).split():
         tok = raw.lower()

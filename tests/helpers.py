@@ -13,6 +13,8 @@ import sys
 import unicodedata
 from collections import Counter
 
+import numpy as np
+
 from graphex.curation import (
     COUNT_ORIENTATION,
     CuratedDataset,
@@ -20,7 +22,9 @@ from graphex.curation import (
     ScoreOrientation,
     curate,
 )
-from graphex.vocab import tokenize
+from graphex.graph import LeafGraph, Model, StringTable, build
+from graphex.inference import Alignment, Query, _prune_cutoff, recommend
+from graphex.vocab import Vocabulary, tokenize
 
 
 def brute_unique_token_count(texts):
@@ -89,6 +93,69 @@ def brute_tokenize(text: str) -> list[str]:
         if chars:
             out.append("".join(chars))
     return out
+
+
+def brute_build(dataset: CuratedDataset) -> Model:
+    """The model :func:`graphex.graph.build` must produce, one keyphrase at a time.
+
+    Sorted texts and tokens give the string table and token ids; each
+    leaf's keyphrases take ids in text order, and its CSR comes from one
+    lexsort of (token, keyphrase) pairs.
+    """
+    leaf_ids = sorted(dataset.leaves)
+    unique_texts = sorted({kp.text for leaf in leaf_ids for kp in dataset.leaves[leaf]})
+    text_index = {text: i for i, text in enumerate(unique_texts)}
+    vocabulary = Vocabulary(sorted({tok for text in unique_texts for tok in text.split()}))
+    lookup = vocabulary.lookup
+
+    orientation = dataset.orientation
+    text_refs: list[int] = []
+    lengths: list[int] = []
+    searches: list[float] = []
+    recalls: list[float] = []
+    leaf_graphs: dict[int, LeafGraph] = {}
+    for leaf_id in leaf_ids:
+        group = sorted(dataset.leaves[leaf_id], key=lambda kp: kp.text)
+        kp_base = len(lengths)
+        edge_tokens: list[int] = []
+        for kp in group:
+            token_ids = {lookup(tok) for tok in kp.text.split()}
+            text_refs.append(text_index[kp.text])
+            lengths.append(len(token_ids))
+            searches.append(orientation.canonical_search(kp.search_score))
+            recalls.append(orientation.canonical_recall(kp.recall_score))
+            edge_tokens.extend(token_ids)
+        tok_col = np.asarray(edge_tokens, dtype=np.int64)
+        kp_col = np.repeat(
+            np.arange(kp_base, len(lengths), dtype=np.int64),
+            np.asarray(lengths[kp_base:], dtype=np.int64),
+        )
+        order = np.lexsort((kp_col, tok_col))
+        tok_col = tok_col[order]
+        kp_col = kp_col[order]
+        token_rows, counts = np.unique(tok_col, return_counts=True)
+        offsets = np.zeros(len(token_rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        leaf_graphs[leaf_id] = LeafGraph(
+            leaf_category=leaf_id,
+            token_rows=token_rows.astype(np.uint32),
+            offsets=offsets,
+            edges=kp_col.astype(np.uint32),
+            kp_base=kp_base,
+            num_keyphrases=len(group),
+        )
+
+    return Model(
+        meta_category=dataset.meta_category,
+        orientation=orientation,
+        vocabulary=vocabulary,
+        kp_texts=StringTable(unique_texts),
+        kp_text_ref=np.asarray(text_refs, dtype=np.uint32),
+        kp_lengths=np.asarray(lengths, dtype=np.uint32),
+        kp_search=np.asarray(searches, dtype=np.float64),
+        kp_recall=np.asarray(recalls, dtype=np.float64),
+        leaf_graphs=leaf_graphs,
+    )
 
 
 def brute_recommend(
@@ -202,11 +269,6 @@ def make_title(rng: random.Random, vocab_size: int, length: int, unknown_rate: f
 # ---------------------------------------------------------------------------
 # Property checks, shared by the standalone property suite and the
 # acceptance gate.  Each returns the number of cases it verified.
-
-import numpy as np
-
-from graphex.graph import build
-from graphex.inference import Alignment, Query, _prune_cutoff, recommend
 
 
 def check_lta_monotonicity(n_cases: int = 10_000, seed: int = 101) -> int:

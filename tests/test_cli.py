@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,44 @@ def test_train_reports_counts(tmp_path, capsys):
     assert "rows: 5 ok, 0 malformed" in captured.out
     assert "1 leaves, 7 tokens, 13 edges, 5 keyphrases" in captured.out
     assert out.exists()
+
+
+def test_train_last_line_splits_the_time_by_stage(tmp_path, capsys):
+    tsv = tmp_path / "kp.tsv"
+    tsv.write_text(HEADPHONES_TSV)
+    out = tmp_path / "model.gex"
+    assert main(["train", "--input", str(tsv), "--output", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(r"wrote (.+) \((\d+) bytes\) in (\d+\.\d\d)s "
+                         r"\(read\+curate (\d+\.\d\d)s, build (\d+\.\d\d)s, "
+                         r"save (\d+\.\d\d)s\)", last)
+    assert match, last
+    assert match[1] == str(out) and int(match[2]) == out.stat().st_size
+    total, *stages = map(float, match.groups()[2:])
+    # Each figure is rounded to 0.01 s, and the stages leave out the
+    # time spent printing row errors and warnings.
+    assert sum(stages) <= total + 0.02
+
+
+def test_train_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    # Set and dict order vary with PYTHONHASHSEED; none of it may reach
+    # the model file.
+    rng = random.Random(5)
+    words = ["red", "Shoe", "café", "東京", "o'neill", "usb-c", *(f"w{i}" for i in range(40))]
+    tsv = tmp_path / "kp.tsv"
+    tsv.write_text("".join(
+        f"{' '.join(rng.choices(words, k=rng.randint(1, 5)))}\t{rng.randint(-3, 20)}"
+        f"\t{rng.randint(0, 99)}\t{rng.randint(0, 99)}\n" for _ in range(600)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(graphex.__file__))
+    models = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"model-{hash_seed}.gex"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "graphex.cli", "train", "--input", str(tsv),
+                        "--output", str(out)], env=env, check=True, capture_output=True,
+                       timeout=60)
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_train_missing_input_exits_2(tmp_path, capsys):
@@ -320,7 +361,7 @@ def test_stats_prints_per_leaf_lines(model_path, capsys):
 
 
 def test_stats_prints_the_model_fingerprint(model_path, capsys):
-    data = open(model_path, "rb").read()
+    data = Path(model_path).read_bytes()
     crc = zlib.crc32(data[56:-4])
     assert main(["stats", "--model", model_path]) == 0
     first = capsys.readouterr().out.splitlines()[0]
@@ -468,7 +509,7 @@ def test_eval_invalid_utf8_names_file_and_line(which, tmp_path, capsys):
             "universe": universe}[which]
     with open(path, "ab") as handle:
         handle.write(b"\n\xff\n")
-    lines = open(path, "rb").read().count(b"\n")
+    lines = Path(path).read_bytes().count(b"\n")
     code = main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}",
                  "--items", str(items), "--keyphrase-universe", universe])
     assert code == 1

@@ -149,6 +149,7 @@ def test_curate_dedupes_on_normalized_text_keeping_best_search():
     assert kept[0].search_score == 30.0
     assert kept[0].recall_score == 2.0
     assert dataset.stats.deduplicated == 2
+    assert (dataset.stats.rows_in, dataset.stats.kept) == (3, 1)
 
 
 def test_curate_dedup_tie_keeps_first_occurrence():

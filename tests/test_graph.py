@@ -5,11 +5,23 @@ import random
 import numpy as np
 import pytest
 
-from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
+from graphex.curation import (
+    COUNT_ORIENTATION,
+    INT64_MAX,
+    INT64_MIN,
+    RANK_ORIENTATION,
+    CuratedDataset,
+    CuratedKeyphrase,
+    CurationStats,
+    RawKeyphraseRow,
+    curate,
+)
 from graphex import graph as graph_module
 from graphex.graph import StringTable, UnknownLeafError, build
+from graphex.storage import to_bytes
 
 from helpers import (
+    brute_build,
     brute_degree,
     brute_edge_count,
     brute_unique_token_count,
@@ -197,6 +209,75 @@ def test_build_is_deterministic_across_input_order():
         assert a.edges.tolist() == b.edges.tolist()
         assert a.offsets.tolist() == b.offsets.tolist()
         assert a.token_rows.tolist() == b.token_rows.tolist()
+
+
+def _scored_rows(rng, pairs):
+    return [RawKeyphraseRow(text, leaf, float(rng.randint(0, 50)), float(rng.randint(0, 50)))
+            for text, leaf in pairs]
+
+
+def _random_text(rng, words, lo=1, hi=5):
+    return " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi)))
+
+
+def _hand_made_dataset(rng):
+    # Texts curate would never produce: tabs, double and edge spaces, a
+    # text twice in one leaf; groups out of text order.
+    def kp(text):
+        return CuratedKeyphrase(text, float(rng.randint(0, 9)), float(rng.randint(0, 9)))
+    leaves = {
+        9: [kp("shoe\tred"), kp("red  shoe"), kp(" red shoe "), kp("a b"), kp("a b")],
+        -2: [kp("zz\t\tyy xx"), kp("b"), kp("a  a")],
+    }
+    for group in leaves.values():
+        rng.shuffle(group)
+    return CuratedDataset("hand", RANK_ORIENTATION, leaves, CurationStats())
+
+
+def _equivalence_dataset(kind, rng):
+    words = [f"w{i}" for i in range(30)]
+    if kind == "repeated token":
+        texts = [f"{w} {_random_text(rng, words)} {w}" for w in rng.choices(words, k=80)]
+        return curate(_scored_rows(rng, [(text, rng.randint(1, 3)) for text in texts]))
+    if kind == "hand-made texts":
+        return _hand_made_dataset(rng)
+    if kind == "text in several leaves":
+        texts = [_random_text(rng, words) for _ in range(40)]
+        pairs = [(text, leaf) for text in texts for leaf in rng.sample(range(6), 3)]
+        return curate(_scored_rows(rng, pairs), orientation=RANK_ORIENTATION)
+    if kind == "empty leaf lists":
+        dataset = curate(_scored_rows(rng, [(_random_text(rng, words), 4) for _ in range(30)]))
+        dataset.leaves[1] = []
+        dataset.leaves[7] = []
+        return dataset
+    if kind == "one-token keyphrases":
+        return curate(_scored_rows(rng, [(w, rng.randint(1, 4)) for w in words]))
+    if kind == "hub token":
+        pairs = [(f"hub {_random_text(rng, words, 0, 3)}", rng.randint(1, 2)) for _ in range(120)]
+        return curate(_scored_rows(rng, pairs))
+    if kind == "non-ascii tokens":
+        accented = ["café", "CAFÉ", "cafe\u0301", "naïve", "東京", "straße", "ω", "«ω»", "x"]
+        pairs = [(_random_text(rng, accented + words[:5]), rng.randint(1, 3)) for _ in range(80)]
+        return curate(_scored_rows(rng, pairs))
+    if kind == "int64 leaf extremes":
+        pairs = [(_random_text(rng, words), rng.choice([INT64_MIN, INT64_MAX, 0]))
+                 for _ in range(60)]
+        return curate(_scored_rows(rng, pairs))
+    if kind == "mixed":
+        return make_dataset(rng, 400, vocab_size=60, leaf_ids=range(-3, 12), max_len=6)
+    assert kind == "empty"
+    return curate([])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", [
+    "repeated token", "hand-made texts", "text in several leaves", "empty leaf lists",
+    "one-token keyphrases", "hub token", "non-ascii tokens", "int64 leaf extremes", "mixed",
+    "empty",
+])
+def test_build_writes_the_same_bytes_as_the_per_keyphrase_reference(kind, seed):
+    dataset = _equivalence_dataset(kind, random.Random(seed))
+    assert to_bytes(build(dataset)) == to_bytes(brute_build(dataset))
 
 
 def test_build_empty_dataset_yields_model_with_no_leaves():

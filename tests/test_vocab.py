@@ -62,6 +62,35 @@ def test_tokenize_fast_path_matches_reference_for_every_code_point():
     assert _first_difference(tokenize(wrapped), brute_tokenize(wrapped)) is None
 
 
+ASCII_CASES = [
+    "",
+    "Red SHOE",
+    "UPPER lower MiXeD 4K",
+    "(Wireless) Headphones, USB-C! o'neill's",
+    "...edge,, ,inner.dot's!? -- a-b_c {x} [y] @home #1 100% *star*",
+    "$5 +tax <b> ^up `tick` |bar| ~wave =eq",
+    "red\x0bshoe\x0cbig\x1cx\x1dy\x1ez\x1fw",
+    "\x0b\x0c\x1c\x1d\x1e\x1f",
+    " \t\n\r lead and trail \t ",
+    "nul\x00inside \x01ctrl\x7f",
+]
+
+
+def test_tokenize_ascii_fast_path_matches_reference():
+    # ASCII text is lowercased and split as one string; compare that
+    # path with the per-character reference.
+    ascii_chars = [chr(code) for code in range(128)]
+    rng = random.Random(11)
+    alphabet = "aZ9 " + "".join(ascii_chars)
+    generated = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+                 for _ in range(3000)]
+    cases = [*ASCII_CASES, " ".join(ascii_chars), " ".join(f"({ch}!" for ch in ascii_chars),
+             " ".join(f"A{ch}b" for ch in ascii_chars), *generated]
+    for text in cases:
+        assert text.isascii()
+        assert tokenize(text) == brute_tokenize(text), text
+
+
 def test_no_alphanumeric_code_point_is_punctuation_or_whitespace():
     # The tokenizer's and the Vocabulary constructor's fast paths rest on this.
     assert [ch for ch in EVERY_CHAR if ch.isalnum()
