@@ -38,14 +38,6 @@ class ScoreOrientation:
             return cls(search_higher_better=False, recall_lower_better=False)
         raise ValueError(f"unknown score orientation: {name!r}")
 
-    @property
-    def name(self) -> str:
-        if self == ScoreOrientation(True, True):
-            return "count"
-        if self == ScoreOrientation(False, False):
-            return "rank"
-        return f"custom({self.search_higher_better},{self.recall_lower_better})"
-
     def canonical_search(self, raw: float) -> float:
         return raw if self.search_higher_better else -raw
 
@@ -131,30 +123,29 @@ def _parse_score(text: str, what: str) -> float:
     return value
 
 
-def _looks_like_header(fields: list[str]) -> bool:
-    if len(fields) != 4:
-        return True
+def _is_number(text: str) -> bool:
     try:
-        float(fields[2])
-        float(fields[3])
+        float(text)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
 
 
-def ingest(
-    path: str,
-    report: IngestReport | None = None,
-    has_header: bool | None = None,
-) -> Iterator[RawKeyphraseRow]:
+def _is_header(fields: list[str]) -> bool:
+    """Whether a first line is a header: four columns, and none of leaf,
+    search and recall parses as a number."""
+    return len(fields) == 4 and not any(map(_is_number, fields[1:]))
+
+
+def ingest(path: str, report: IngestReport | None = None) -> Iterator[RawKeyphraseRow]:
     """Parse the TSV file at ``path`` into :class:`RawKeyphraseRow` values.
 
     Lines are read by :func:`read_lines`.  Malformed rows (invalid UTF-8,
     wrong column count, empty keyphrase, a leaf that is not an integer or
     falls outside the signed 64-bit range, unparseable scores) are
     recorded in ``report`` with their 1-based line numbers and skipped.
-    With ``has_header=None`` the first line is sniffed: it is treated as a
-    header when its last two columns do not both parse as numbers.
+    The first line is skipped as a header only when :func:`_is_header`
+    says so; any other first line is a data row like the rest.
     """
     if report is None:
         report = IngestReport()
@@ -163,8 +154,7 @@ def ingest(
         fields = line.split("\t")
         if first:
             first = False
-            skip = has_header if has_header is not None else _looks_like_header(fields)
-            if skip:
+            if _is_header(fields):
                 continue
         try:
             if error is not None:

@@ -127,10 +127,10 @@ class HttpCompletionOracle(RelevanceOracle):
 
     name = "http"
 
-    def __init__(self, url: str, timeout: float = 30.0, template: str | None = None):
+    def __init__(self, url: str, timeout: float = 30.0):
         self.url = url
         self.timeout = timeout
-        self.template = template if template is not None else load_prompt_template()
+        self.template = load_prompt_template()
 
     def _prompt(self, title: str, keyphrase: str) -> str:
         return self.template.replace("{title}", title).replace("{keyphrase}", keyphrase)
@@ -169,25 +169,29 @@ def _extract_completion(payload: bytes) -> str:
 
 
 class JudgmentCache:
-    """Thread-safe oracle result cache with hit/miss counters."""
+    """Thread-safe oracle result cache.
+
+    ``hits`` counts the pairs :func:`judge` answered without an oracle
+    call: their key was cached already, or an earlier pair of the same
+    run had it.
+    """
 
     def __init__(self) -> None:
         self._data: dict[Hashable, bool] = {}
         self._lock = threading.Lock()
         self.hits = 0
-        self.misses = 0
 
     def get(self, key: Hashable) -> bool | None:
         with self._lock:
-            if key in self._data:
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return None
+            return self._data.get(key)
 
     def put(self, key: Hashable, value: bool) -> None:
         with self._lock:
             self._data[key] = value
+
+    def add_hits(self, count: int) -> None:
+        with self._lock:
+            self.hits += count
 
     def __len__(self) -> int:
         return len(self._data)
@@ -283,19 +287,20 @@ def judge(
     """Judge every unique (item, keyphrase) pair in a run.
 
     Oracle calls go through ``cache`` (judging the same run twice with a
-    shared cache makes zero new calls).  Each missing pair is attempted
-    ``retries + 1`` times; pairs that still fail become
-    :class:`JudgeError` records rather than default judgments.
+    shared cache makes zero new calls), at most ``max_in_flight`` at a
+    time.  Each missing pair is attempted ``retries + 1`` times; pairs
+    that still fail become :class:`JudgeError` records rather than
+    default judgments.
     """
     if cache is None:
         cache = JudgmentCache()
-    pairs = run.unique_pairs()
+    pairs = [(oracle.cache_key(*pair), pair) for pair in run.unique_pairs()]
 
     pending: dict[Hashable, tuple[str, str | None, str]] = {}
-    for item_id, title, keyphrase in pairs:
-        key = oracle.cache_key(item_id, title, keyphrase)
-        if cache.get(key) is None and key not in pending:
-            pending[key] = (item_id, title, keyphrase)
+    for key, pair in pairs:
+        if key not in pending and cache.get(key) is None:
+            pending[key] = pair
+    cache.add_hits(len(pairs) - len(pending))
 
     failures: dict[Hashable, str] = {}
 
@@ -310,17 +315,12 @@ def judge(
                 last = str(exc)
         failures[key] = last
 
-    if max_in_flight > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            list(pool.map(resolve, list(pending)))
-    else:
-        for key in pending:
-            resolve(key)
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        list(pool.map(resolve, pending))
 
     judgments: list[Judgment] = []
     errors: list[JudgeError] = []
-    for item_id, title, keyphrase in pairs:
-        key = oracle.cache_key(item_id, title, keyphrase)
+    for key, (item_id, _, keyphrase) in pairs:
         verdict = cache.get(key)
         if verdict is None:
             errors.append(JudgeError(item_id, keyphrase, failures.get(key, "not judged")))
@@ -333,7 +333,6 @@ def judge(
 class HeadThreshold:
     """Search-volume cutoff separating head keyphrases from the tail."""
 
-    category: str
     percentile: float
     value: float
     universe_size: int
@@ -345,7 +344,6 @@ class HeadThreshold:
 def head_threshold(
     pairs: Sequence[tuple[str, float]],
     percentile: float = 90.0,
-    category: str = "",
 ) -> HeadThreshold:
     """Nearest-rank percentile of search counts over a keyphrase universe.
 
@@ -368,7 +366,7 @@ def head_threshold(
         counts.append(float(count))
     counts.sort()
     rank = max(1, math.ceil(percentile / 100 * len(counts)))
-    return HeadThreshold(category, percentile, counts[rank - 1], len(counts))
+    return HeadThreshold(percentile, counts[rank - 1], len(counts))
 
 
 def build_judgment_map(judgments: Iterable[Judgment]) -> dict[tuple[str, str], bool]:
@@ -453,7 +451,6 @@ class MetricsReport:
         out: dict = {
             "baseline": self.baseline,
             "head_threshold": {
-                "category": self.threshold.category,
                 "percentile": self.threshold.percentile,
                 "value": self.threshold.value,
                 "universe_size": self.threshold.universe_size,

@@ -26,6 +26,9 @@ from .inference import (
 
 log = logging.getLogger("graphex.server")
 
+# Largest request body read; a longer one is read to its end and answered 413.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class ServeConfig:
@@ -34,7 +37,6 @@ class ServeConfig:
     default_k: int = DEFAULT_K
     align: Alignment = Alignment.LTA
     max_predictions: int = DEFAULT_MAX_PREDICTIONS
-    max_body_bytes: int = 1 << 20
     # When true, unknown leaf categories answer 200 with an empty
     # prediction list instead of 404.
     unknown_leaf_empty: bool = False
@@ -90,7 +92,7 @@ class RecommendServer(ThreadingHTTPServer):
     daemon_threads = True
     request_queue_size = 128
 
-    def __init__(self, config: ServeConfig, model: Model | None = None):
+    def __init__(self, config: ServeConfig, model: Model):
         super().__init__((config.host, config.port), _Handler)
         self.config = config
         self.model = model
@@ -124,33 +126,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._headers_buffer.append(b"\r\n" + body)
             self.flush_headers()
 
-    def do_GET(self) -> None:
-        if self.path != "/healthz":
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-            return
-        model = self.server.model
-        if model is None:
-            self._send_json(503, {"status": "loading"})
-            return
-        self._send_json(
-            200,
-            {
-                "status": "ok",
-                "meta_category": model.meta_category,
-                "format_version": storage.FORMAT_VERSION,
-                "leaves": len(model.leaf_graphs),
-                "keyphrases": model.num_keyphrases,
-            },
-        )
+    def _handle(self) -> None:
+        """Answer one request: check ``Content-Length``, read the body, then route.
 
-    def do_POST(self) -> None:
-        if self.path != "/recommend":
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-            return
-        model = self.server.model
-        config = self.server.config
-        if model is None:
-            self._send_json(503, {"error": "model not loaded"})
+        Every request's body is read before any answer, so the next
+        request on a kept-alive connection starts where this one ended.
+        """
+        if "Transfer-Encoding" in self.headers:
+            # A chunked body is not read, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(411, {"error": "send the body with a Content-Length"})
             return
         length = _content_length(self.headers.get("Content-Length"))
         if length is None:
@@ -158,18 +143,44 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
             return
-        if length > config.max_body_bytes:
-            self._send_json(413, {"error": f"body exceeds {config.max_body_bytes} bytes"})
+        if length > MAX_BODY_BYTES:
+            # Read it to its end: an answer sent first would leave the body
+            # in the stream, and closing at once resets a client still sending.
+            while length > 0 and (chunk := self.rfile.read(min(length, 1 << 16))):
+                length -= len(chunk)
+            self._send_json(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
             return
-        raw = self.rfile.read(length)
+        body = self.rfile.read(length)
+        route = (self.command, self.path)
+        if route == ("POST", "/recommend"):
+            self._recommend(body)
+        elif route == ("GET", "/healthz"):
+            model = self.server.model
+            self._send_json(
+                200,
+                {
+                    "status": "ok",
+                    "meta_category": model.meta_category,
+                    "format_version": storage.FORMAT_VERSION,
+                    "leaves": len(model.leaf_graphs),
+                    "keyphrases": model.num_keyphrases,
+                },
+            )
+        else:
+            self._send_json(404, {"error": f"no such path: {self.path}"})
+
+    do_GET = do_POST = _handle
+
+    def _recommend(self, body: bytes) -> None:
+        config = self.server.config
         try:
-            title, leaf, k, align = _parse_recommend_body(raw, config)
+            title, leaf, k, align = _parse_recommend_body(body, config)
         except BadRequest as exc:
             self._send_json(400, {"error": str(exc)})
             return
         try:
             predictions = recommend(
-                model,
+                self.server.model,
                 Query(title=title, leaf_category=leaf, k=k),
                 align=align,
                 max_predictions=config.max_predictions,
@@ -184,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def serve(config: ServeConfig, model: Model) -> None:
-    """Run the endpoint until interrupted (blocking)."""
+    """Run the endpoint over a loaded model until interrupted (blocking)."""
     with RecommendServer(config, model) as server:
         log.info("listening on %s:%d", config.host, config.port)
         try:

@@ -101,6 +101,24 @@ def test_train_reports_malformed_rows_with_line_numbers(tmp_path, capsys):
     assert ":2:" in captured.err
 
 
+@pytest.mark.parametrize("first, ok, malformed, message", [
+    ("three\tcolumns\tonly", 1, 1, "expected 4 tab-separated columns, got 3"),
+    ("five\t1\t2\t3\t4", 1, 1, "expected 4 tab-separated columns, got 5"),
+    ("much searched\t1\tlots\t3", 1, 1, "could not convert string to float: 'lots'"),
+    ("keyphrase\tleaf_category\tsearch_score\trecall_score", 1, 0, None),
+    ("first row\t1\t2\t3", 2, 0, None),
+])
+def test_train_first_line_is_a_header_only_without_numbers(
+    first, ok, malformed, message, tmp_path, capsys
+):
+    tsv = tmp_path / "kp.tsv"
+    tsv.write_text(f"{first}\nred shoe\t1\t5\t5\n")
+    assert main(["train", "--input", str(tsv), "--output", str(tmp_path / "m.gex")]) == 0
+    captured = capsys.readouterr()
+    assert f"rows: {ok} ok, {malformed} malformed" in captured.out
+    assert captured.err == ("" if message is None else f"{tsv}:1: {message}\n")
+
+
 def test_train_skips_a_row_with_invalid_utf8(tmp_path, capsys):
     tsv = tmp_path / "kp.tsv"
     tsv.write_bytes(b"red shoe\t1\t5\t5\r\nbad \xff row\t1\t5\t5\r\nblue hat\t2\t9\t9\r\n")
@@ -432,6 +450,25 @@ def test_eval_end_to_end_report(tmp_path):
     assert report["judging"]["errors"] == 0
 
 
+@pytest.mark.parametrize("names, items, hits", [
+    (["a"], 1, 0),       # two distinct pairs: two oracle calls, none saved
+    (["a", "b"], 1, 2),  # the second run's two pairs are cached already
+    (["a"], 2, 2),       # the second item repeats the first's title and keyphrases
+])
+def test_eval_cache_hits_count_only_saved_oracle_calls(names, items, hits, tmp_path):
+    row = {"title": "red shoe", "predictions": [
+        {"keyphrase": "red shoe", "search": 5.0}, {"keyphrase": "blue hat", "search": 3.0}]}
+    run = tmp_path / "run.jsonl"
+    run.write_text("".join(json.dumps({"item_id": f"i{n}", **row}) + "\n" for n in range(items)))
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--runs", *(f"{name}={run}" for name in names),
+                 "--oracle", "heuristic", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["judging"]["pairs_judged"] == 2
+    assert report["judging"]["cache_hits"] == hits
+    assert set(report["head_threshold"]) == {"percentile", "value", "universe_size"}
+
+
 def test_eval_duplicate_run_names_exit_2(tmp_path, capsys):
     paths, fixture, universe = eval_setup(tmp_path)
     code = main([
@@ -565,3 +602,90 @@ def test_streamed_infer_to_a_closed_pipe_exits_1_quietly(model_path, tmp_path):
     items.write_text("".join(f"i{n}\t{HEADPHONES_TITLE}\t42\n" for n in range(3000)))
     args = ["infer", "--model", model_path, "--items", str(items)]
     assert run_with_closed_stdout(args, 2) == (1, b"")
+
+
+BOUNDARY_CASES = [
+    # command, input class, arguments, exit code, start of the one stderr line
+    ("train", "missing file", "train --input {absent} --output {out}",
+     2, "error: no such file: {absent}"),
+    ("train", "bad flag value", "train --input {kp} --output {out} --min-search-count lots",
+     2, "graphex train: error: argument --min-search-count: invalid float value: 'lots'"),
+    # A malformed row is skipped and reported; the model is still written.
+    ("train", "malformed line", "train --input {bad_kp} --output {out}",
+     0, "{bad_kp}:2: expected 4 tab-separated columns, got 3"),
+    ("infer", "missing file", "infer --model {absent} --items {items}",
+     2, "error: no such file: {absent}"),
+    ("infer", "bad flag value", "infer --model {model} --items {items} --k five",
+     2, "graphex infer: error: argument --k: invalid int value: 'five'"),
+    # A malformed item gets an error row; the other items are answered.
+    ("infer", "malformed line", "infer --model {model} --items {bad_items} --output {out}",
+     0, "1 of 2 items failed"),
+    ("infer", "corrupt model", "infer --model {corrupt} --items {items}",
+     1, "error: body checksum mismatch"),
+    ("infer", "truncated model", "infer --model {truncated} --items {items}",
+     1, "error: file ends at byte"),
+    ("eval", "missing file", "eval --runs a={absent} --oracle heuristic",
+     2, "error: no such file: {absent}"),
+    ("eval", "bad flag value", "eval --runs a={run} --oracle heuristic --head-percentile high",
+     2, "graphex eval: error: argument --head-percentile: invalid float value: 'high'"),
+    ("eval", "malformed line", "eval --runs a={bad_run} --oracle heuristic",
+     1, "error: {bad_run}:1: bad prediction row"),
+    ("serve", "missing file", "serve --model {absent}",
+     2, "error: no such file: {absent}"),
+    ("serve", "bad flag value", "serve --model {model} --port http",
+     2, "graphex serve: error: argument --port: invalid int value: 'http'"),
+    ("serve", "corrupt model", "serve --model {corrupt}",
+     1, "error: body checksum mismatch"),
+    ("serve", "truncated model", "serve --model {truncated}",
+     1, "error: file ends at byte"),
+    ("stats", "missing file", "stats --model {absent}",
+     2, "error: no such file: {absent}"),
+    ("stats", "bad flag value", "stats --model",
+     2, "graphex stats: error: argument --model: expected one argument"),
+    ("stats", "corrupt model", "stats --model {corrupt}",
+     1, "error: body checksum mismatch"),
+    ("stats", "truncated model", "stats --model {truncated}",
+     1, "error: file ends at byte"),
+]
+
+
+@pytest.mark.parametrize("args, code, line", [case[2:] for case in BOUNDARY_CASES],
+                         ids=[f"{case[0]}-{case[1].replace(' ', '-')}" for case in BOUNDARY_CASES])
+def test_each_command_answers_a_bad_input_with_one_line(
+    args, code, line, model_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "serve", lambda config, model: pytest.fail("server started"))
+    data = Path(model_path).read_bytes()
+    middle = len(data) // 2
+    files = {
+        "corrupt": data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:],
+        "truncated": data[:middle],
+        "kp": HEADPHONES_TSV,
+        "bad_kp": "red shoe\t42\t5\t5\nblue hat\t42\t5\n",
+        "items": f"i1\t{HEADPHONES_TITLE}\t42\n",
+        "bad_items": f"i1\t{HEADPHONES_TITLE}\t42\ni2\tno leaf column\n",
+        "run": json.dumps({"item_id": "i1", "title": "red shoe", "predictions": []}) + "\n",
+        "bad_run": "{not json\n",
+    }
+    paths = {"model": model_path, "absent": str(tmp_path / "absent"),
+             "out": str(tmp_path / "out")}
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths[name] = str(path)
+
+    try:
+        status = main([arg.format(**paths) for arg in args.split()])
+    except SystemExit as exc:  # argparse rejects a flag value itself
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == code
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    matching = [text for text in lines if text.startswith(line.format(**paths))]
+    assert len(matching) == 1
+    # Only a failed command prints an ``error:`` line, and then only this one.
+    assert [text for text in lines if "error:" in text] == (matching if code else [])

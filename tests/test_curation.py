@@ -64,7 +64,7 @@ def test_ingest_records_malformed_rows_with_line_numbers():
         "\t1\t10\t20\n"
         "another good one\t2\t7\t7\n"
     )
-    parsed, report = rows_from(text, has_header=False)
+    parsed, report = rows_from(text)
     assert [row.keyphrase for row in parsed] == ["good phrase", "another good one"]
     assert report.rows_ok == 2
     assert [err.line_no for err in report.errors] == [2, 3, 4, 5, 6]
@@ -81,16 +81,8 @@ def test_ingest_autodetects_header_line():
     assert len(parsed) == 2
 
 
-def test_ingest_header_override_beats_sniffing():
-    text = "phrase\t1\t2\t3\n"
-    parsed, _ = rows_from(text, has_header=True)
-    assert parsed == []
-    parsed, _ = rows_from(text, has_header=False)
-    assert len(parsed) == 1
-
-
 def test_ingest_blank_lines_are_skipped_without_errors():
-    parsed, report = rows_from("phrase\t1\t2\t3\n\n\nother\t2\t3\t4\n", has_header=False)
+    parsed, report = rows_from("phrase\t1\t2\t3\n\n\nother\t2\t3\t4\n")
     assert len(parsed) == 2
     assert report.rows_bad == 0
 
@@ -98,8 +90,6 @@ def test_ingest_blank_lines_are_skipped_without_errors():
 def test_orientation_names_round_trip():
     assert ScoreOrientation.from_name("count") == COUNT_ORIENTATION
     assert ScoreOrientation.from_name("rank") == RANK_ORIENTATION
-    assert COUNT_ORIENTATION.name == "count"
-    assert RANK_ORIENTATION.name == "rank"
     with pytest.raises(ValueError):
         ScoreOrientation.from_name("sideways")
 
@@ -214,7 +204,7 @@ def test_ingest_rejects_leaf_ids_outside_int64():
         f"above\t{2**63}\t1\t1\n"
         f"below\t{-2**63 - 1}\t1\t1\n"
     )
-    parsed, report = rows_from(text, has_header=False)
+    parsed, report = rows_from(text)
     assert [row.leaf_category for row in parsed] == [2**63 - 1, -2**63]
     assert [err.line_no for err in report.errors] == [3, 4]
     assert all("64-bit" in err.message for err in report.errors)

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from graphex import server as server_module
 from graphex.inference import BatchItem, Query, predictions_to_dicts, recommend_batch
 from graphex.server import RecommendServer, ServeConfig, _Handler
 
@@ -58,21 +59,6 @@ def test_healthz_reports_model_stats(base_url):
     assert body["status"] == "ok"
     assert body["leaves"] == 1
     assert body["keyphrases"] == 5
-
-
-def test_healthz_without_model_is_503(headphones_model):
-    srv = RecommendServer(ServeConfig(port=0), model=None)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{srv.server_address[1]}"
-        assert get(f"{url}/healthz")[0] == 503
-        status, body = post(f"{url}/recommend",
-                            {"title": "x", "leaf_category": HEADPHONES_LEAF})
-        assert status == 503
-    finally:
-        srv.shutdown()
-        srv.server_close()
 
 
 def test_recommend_returns_worked_example(base_url):
@@ -138,8 +124,9 @@ def test_unknown_path_is_404(base_url):
     assert post(f"{base_url}/nope", {})[0] == 404
 
 
-def test_oversized_body_is_rejected(headphones_model):
-    srv = RecommendServer(ServeConfig(port=0, max_body_bytes=64), headphones_model)
+def test_oversized_body_is_rejected(headphones_model, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+    srv = RecommendServer(ServeConfig(port=0), headphones_model)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -201,6 +188,22 @@ def test_bad_content_length_is_400_and_closes(server, value):
     reply = raw_post(server, value, body=b'{"title": "x", "leaf_category": 42}')
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert b"Content-Length must be a non-negative integer" in reply
+
+
+def test_a_chunked_body_is_411_and_closes(server):
+    head = ("POST /recommend HTTP/1.1\r\nHost: test\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n").encode("ascii")
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(RECOMMEND_BODY), RECOMMEND_BODY)
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(head + chunked)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    # One answer: the chunks are not read as a second request.
+    assert reply.startswith(b"HTTP/1.1 411 ") and reply.count(b"HTTP/1.1") == 1
+    assert json.loads(reply.partition(b"\r\n\r\n")[2]) == {
+        "error": "send the body with a Content-Length"}
 
 
 def test_a_body_shorter_than_its_content_length_closes_the_connection(server, monkeypatch):
@@ -309,3 +312,38 @@ def test_http_0_9_request_gets_the_bare_body(server):
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     assert json.loads(b"".join(chunks))["status"] == "ok"
+
+
+def test_a_body_one_mib_over_the_limit_gets_413(base_url):
+    # The whole body is read before the answer: a server that answers
+    # first and closes resets the client while it is still sending.
+    raw = b"x" * (server_module.MAX_BODY_BYTES + 10)
+    status, body = post(f"{base_url}/recommend", None, raw=raw)
+    assert status == 413
+    assert json.loads(body) == {"error": "body exceeds 1048576 bytes"}
+
+
+@pytest.mark.parametrize("method, path, extra, status", [
+    ("POST", "/recommend", b" ", 413),
+    ("POST", "/nope", b"", 404),
+    ("GET", "/healthz", b"", 200),
+])
+def test_a_request_with_a_body_leaves_the_connection_in_step(
+    server, monkeypatch, method, path, extra, status
+):
+    # Each first request carries a body its answer does not need; the
+    # /recommend that follows on the same connection gets its own 200.
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(RECOMMEND_BODY))
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    try:
+        conn.request(method, path, body=RECOMMEND_BODY + extra)
+        first = conn.getresponse()
+        assert first.status == status and json.loads(first.read())
+        sock = conn.sock
+        conn.request("POST", "/recommend", body=RECOMMEND_BODY)
+        second = conn.getresponse()
+        assert second.status == 200
+        assert json.loads(second.read())["predictions"]
+        assert conn.sock is sock
+    finally:
+        conn.close()
