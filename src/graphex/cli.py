@@ -318,9 +318,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     _require_file(args.model)
-    with open(args.model, "rb") as handle:
-        data = handle.read()
-    model = storage.from_bytes(data)
+    model, data = storage.read(args.model)
     print(
         f"model: format {storage.FORMAT_VERSION}, crc 0x{storage.stored_crc(data):08x}, "
         f"{model.num_keyphrases} keyphrases, {len(model.vocabulary)} vocabulary tokens, "

@@ -7,7 +7,10 @@ keyphrase, because keyphrase token lists are deduplicated), scores the
 survivors with an alignment function, and ranks them.  Counting sorts
 the gathered edges and measures runs of equal ids, so a query costs
 O(E log E) in the E edges its title tokens gather, independent of how
-many keyphrases the leaf holds.
+many keyphrases the leaf holds.  When the prune cannot keep a keyphrase
+that shares one token only, the runs are measured over the repeated ids
+alone: on a dense leaf most of the E edges are keyphrases hit once, so
+the counting and pruning after the sort then touch a few dozen ids.
 
 One vectorized pipeline serves every caller, in two stages.
 ``_candidates`` gathers, counts and prunes, one query at a time.
@@ -106,7 +109,7 @@ def enumerate_candidates(
     ``min_common_tokens`` filter and count-group pruning.
     """
     tokens = unique_tokens(tokenize(query.title))
-    kp_ids, counts = _gather_counts(model, model.leaf(query.leaf_category), tokens)
+    kp_ids, counts = _runs(_gather(model, model.leaf(query.leaf_category), tokens))
     scores = align.score_array(counts, model.kp_lengths[kp_ids], float(len(tokens)))
     columns = (kp_ids, counts, scores, model.kp_search[kp_ids], model.kp_recall[kp_ids])
     return [Candidate(*row) for row in zip(*(column.tolist() for column in columns))]
@@ -131,26 +134,26 @@ def _prune_cutoff(counts: np.ndarray, k: int) -> int:
     return len(cumulative) - 1 - int(np.searchsorted(cumulative, k, side="left"))
 
 
-def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap counts of the keyphrases in the title tokens' adjacency slices.
+def _gather(model: Model, graph, tokens: list[str]) -> np.ndarray:
+    """Sorted keyphrase ids of the title tokens' adjacency slices.
 
     All title tokens are found in the leaf's sorted ``token_rows`` with one
-    binary search; the gathered ids are sorted, so each keyphrase forms one
-    run whose length is its count; ids come back ascending.
+    binary search.  A keyphrase appears once per title token it holds, so
+    after the sort each keyphrase forms one run whose length is its count.
     """
     empty = np.empty(0, dtype=np.int64)
     lookup = model.vocabulary.lookup
     known = [token_id for token_id in map(lookup, tokens) if token_id is not None]
     token_rows = graph.token_rows
     if not known or not len(token_rows):
-        return empty, empty
+        return empty
     # Vocabulary ids fit in uint32, and a uint32 needle keeps searchsorted
     # from copying the haystack to a wider type.
     ids = np.array(known, dtype=np.uint32)
     pos = token_rows.searchsorted(ids)
     rows = pos[token_rows.take(pos, mode="clip") == ids]
     if not len(rows):
-        return empty, empty
+        return empty
     offsets = graph.offsets
     edges = graph.edges
     # Python-int bounds make plain slices, cheaper than numpy-scalar ones;
@@ -162,12 +165,17 @@ def _gather_counts(model: Model, graph, tokens: list[str]) -> tuple[np.ndarray, 
     # concatenate always copies, so sorting in place never touches the model.
     gathered = np.concatenate(slices)
     gathered.sort()
-    n = len(gathered)
+    return gathered
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, ascending, and their run lengths."""
+    n = len(values)
     run_edge = np.empty(n + 1, dtype=bool)
     run_edge[0] = run_edge[n] = True
-    np.not_equal(gathered[1:], gathered[:-1], out=run_edge[1:n])
+    np.not_equal(values[1:], values[:-1], out=run_edge[1:n])
     starts = np.flatnonzero(run_edge)
-    return gathered[starts[:-1]], starts[1:] - starts[:-1]
+    return values[starts[:-1]], starts[1:] - starts[:-1]
 
 
 def _candidates(
@@ -176,17 +184,34 @@ def _candidates(
     """Survivors of one query: gather and count, filter, prune whole count groups.
 
     Returns the surviving keyphrase ids (ascending), their overlap counts
-    and the title's unique token count.
+    and the title's unique token count.  A dense leaf gathers thousands of
+    keyphrases of which a few dozen survive, so when no keyphrase with
+    count 1 can survive, only the repeated ids (the second and later
+    entries of each run) are counted, a run of ``r`` repeats being a
+    count of ``r + 1``.  That holds when ``min_common_tokens`` is at least
+    2, and when at least ``k`` ids repeat: the groups of count 2 and up
+    then hold ``k`` keyphrases, so the prune cutoff is at least 2.
     """
-    if query.k < 1:
-        raise ValueError(f"k must be >= 1, got {query.k}")
+    k = query.k
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     graph = model.leaf(query.leaf_category)
     tokens = unique_tokens(tokenize(query.title))
-    kp_ids, counts = _gather_counts(model, graph, tokens)
-    if min_common_tokens is not None and min_common_tokens > 1:
-        keep = counts >= min_common_tokens
+    gathered = _gather(model, graph, tokens)
+    floor = 1 if min_common_tokens is None else min_common_tokens
+    counted = None
+    # k repeated ids take at least 2k edges; fewer edges count every run.
+    if len(gathered) >= 2 * k or floor > 1 and len(gathered) > k:
+        # The second and later entries of each run.
+        repeats = gathered[1:][gathered[1:] == gathered[:-1]]
+        kp_ids, runs = _runs(repeats)
+        if floor > 1 or len(kp_ids) >= k:
+            counted = kp_ids, runs + 1
+    kp_ids, counts = _runs(gathered) if counted is None else counted
+    if floor > 1:
+        keep = counts >= floor
         kp_ids, counts = kp_ids[keep], counts[keep]
-    cutoff = _prune_cutoff(counts, query.k)
+    cutoff = _prune_cutoff(counts, k)
     if cutoff > 1:
         keep = counts >= cutoff
         kp_ids, counts = kp_ids[keep], counts[keep]

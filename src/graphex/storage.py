@@ -470,8 +470,21 @@ def stored_crc(data: bytes) -> int:
     return _U32.unpack_from(data, body_end)[0]
 
 
-def load(path: str) -> Model:
-    """Read a model from ``path``; see :func:`from_bytes` for validation."""
+def read(path: str) -> tuple[Model, bytes]:
+    """The model in the file at ``path`` and the file's bytes, which it views.
+
+    See :func:`from_bytes` for validation.  A :class:`ModelFormatError`
+    is raised again as the same class with ``path`` before its message,
+    as an input-line error names its file.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
-    return from_bytes(data)
+    try:
+        return from_bytes(data), data
+    except ModelFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def load(path: str) -> Model:
+    """Read a model from ``path``; see :func:`read`."""
+    return read(path)[0]

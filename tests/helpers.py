@@ -23,8 +23,8 @@ from graphex.curation import (
     curate,
 )
 from graphex.graph import LeafGraph, Model, StringTable, build
-from graphex.inference import Alignment, Query, _prune_cutoff, recommend
-from graphex.vocab import Vocabulary, tokenize
+from graphex.inference import Alignment, Query, _gather, _prune_cutoff, _runs, recommend
+from graphex.vocab import Vocabulary, tokenize, unique_tokens
 
 
 def brute_unique_token_count(texts):
@@ -210,6 +210,26 @@ def brute_recommend(
     return out
 
 
+def reference_candidates(model: Model, query: Query, min_common_tokens: int | None = None):
+    """What ``inference._candidates`` must return, counting every gathered id.
+
+    Every run of the sorted gathered ids is counted, then the
+    ``min_common_tokens`` floor and the whole-group prune apply, however
+    many of the candidates share one title token only.
+    """
+    graph = model.leaf(query.leaf_category)
+    tokens = unique_tokens(tokenize(query.title))
+    kp_ids, counts = _runs(_gather(model, graph, tokens))
+    if min_common_tokens is not None and min_common_tokens > 1:
+        keep = counts >= min_common_tokens
+        kp_ids, counts = kp_ids[keep], counts[keep]
+    cutoff = _prune_cutoff(counts, query.k)
+    if cutoff > 1:
+        keep = counts >= cutoff
+        kp_ids, counts = kp_ids[keep], counts[keep]
+    return kp_ids, counts, len(tokens)
+
+
 def predictions_as_tuples(predictions):
     return [(p.keyphrase, p.align, p.search, p.recall, p.position) for p in predictions]
 
@@ -362,4 +382,87 @@ def check_prune_group_rule(n_cases: int = 10_000, seed: int = 104) -> int:
         else:
             assert not dropped_counts
         checked += 1
+    return checked
+
+
+# Tokens of the dense-leaf corpora: ASCII and not, all already in the
+# tokenizer's normal form (NFC, lowercase, no edge punctuation).
+_DENSE_TOKENS = (
+    [f"w{i}" for i in range(16)]
+    + ["café", "größe", "naïve", "straße", "ñu", "øre", "żółw", "açaí", "日本", "東京", "ядро", "κύμα"]
+)
+
+
+def _dense_corpus(rng: random.Random):
+    """Two dense leaves over a small vocabulary, curated with random scores.
+
+    In leaf 1 a hub token is in every keyphrase, the hub alone being the
+    leaf's one-token keyphrase.  Leaf 2 holds every vocabulary token as a
+    one-token keyphrase, and a second hub is in nine of ten of its longer
+    keyphrases, so its degree is near the leaf's size.
+    """
+    vocab = rng.sample(_DENSE_TOKENS, rng.randint(8, len(_DENSE_TOKENS)))
+    hub, near_hub = vocab[:2]
+    others = vocab[2:]
+    texts = {1: {hub}, 2: set(others)}
+    for _ in range(rng.randint(60, 240)):
+        texts[1].add(" ".join([hub] + rng.sample(others, rng.randint(1, 4))))
+        tokens = rng.sample(others, rng.randint(1, 4))
+        if rng.random() < 0.9:
+            tokens.append(near_hub)
+        texts[2].add(" ".join(tokens))
+    rows = [
+        RawKeyphraseRow(text, leaf, float(rng.randint(0, 5)), float(rng.randint(0, 5)))
+        for leaf in (1, 2) for text in sorted(texts[leaf])
+    ]
+    return vocab, curate(rows, orientation=COUNT_ORIENTATION)
+
+
+def check_dense_leaf_equivalence(
+    n_cases: int = 10_000, seed: int = 105, cases_per_corpus: int = 250
+) -> int:
+    """``recommend`` equals the full-scan reference on dense leaves.
+
+    Titles mix hub tokens, non-ASCII and capitalised tokens, repeats and
+    unknown tokens; ``k`` runs over 1..15 and ``min_common_tokens`` over
+    None, 2 and 3.  Both counting paths must be exercised: titles where at
+    least ``k`` keyphrases share two or more tokens, and titles where
+    fewer do.
+    """
+    rng = random.Random(seed)
+    checked = 0
+    dense = sparse = 0
+    while checked < n_cases:
+        vocab, dataset = _dense_corpus(rng)
+        model = build(dataset)
+        token_sets = {
+            leaf: [set(kp.text.split()) for kp in group] for leaf, group in dataset.leaves.items()
+        }
+        for _ in range(min(cases_per_corpus, n_cases - checked)):
+            leaf = rng.choice([1, 2])
+            tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.6:
+                tokens.append(vocab[leaf - 1])  # the leaf's hub
+            if rng.random() < 0.3:
+                tokens.append(f"zz{rng.randint(0, 99)}")
+            tokens = [tok.capitalize() if rng.random() < 0.2 else tok for tok in tokens]
+            rng.shuffle(tokens)
+            title = " ".join(tokens)
+            k = rng.randint(1, 15)
+            min_common = rng.choice([None, 2, 3])
+            align = rng.choice(list(Alignment))
+            got = predictions_as_tuples(recommend(
+                model, Query(title, leaf, k), align=align, min_common_tokens=min_common
+            ))
+            expected = brute_recommend(dataset, leaf, title, k, align=align.value,
+                                       min_common_tokens=min_common or 1)
+            assert got == expected, (title, leaf, k, min_common, align)
+            title_set = set(tokenize(title))
+            repeated = sum(len(kp & title_set) >= 2 for kp in token_sets[leaf])
+            if repeated >= k:
+                dense += 1
+            else:
+                sparse += 1
+            checked += 1
+    assert min(dense, sparse) >= n_cases // 10, (dense, sparse)
     return checked

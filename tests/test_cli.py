@@ -621,9 +621,9 @@ BOUNDARY_CASES = [
     ("infer", "malformed line", "infer --model {model} --items {bad_items} --output {out}",
      0, "1 of 2 items failed"),
     ("infer", "corrupt model", "infer --model {corrupt} --items {items}",
-     1, "error: body checksum mismatch"),
+     1, "error: {corrupt}: body checksum mismatch"),
     ("infer", "truncated model", "infer --model {truncated} --items {items}",
-     1, "error: file ends at byte"),
+     1, "error: {truncated}: file ends at byte"),
     ("eval", "missing file", "eval --runs a={absent} --oracle heuristic",
      2, "error: no such file: {absent}"),
     ("eval", "bad flag value", "eval --runs a={run} --oracle heuristic --head-percentile high",
@@ -635,17 +635,17 @@ BOUNDARY_CASES = [
     ("serve", "bad flag value", "serve --model {model} --port http",
      2, "graphex serve: error: argument --port: invalid int value: 'http'"),
     ("serve", "corrupt model", "serve --model {corrupt}",
-     1, "error: body checksum mismatch"),
+     1, "error: {corrupt}: body checksum mismatch"),
     ("serve", "truncated model", "serve --model {truncated}",
-     1, "error: file ends at byte"),
+     1, "error: {truncated}: file ends at byte"),
     ("stats", "missing file", "stats --model {absent}",
      2, "error: no such file: {absent}"),
     ("stats", "bad flag value", "stats --model",
      2, "graphex stats: error: argument --model: expected one argument"),
     ("stats", "corrupt model", "stats --model {corrupt}",
-     1, "error: body checksum mismatch"),
+     1, "error: {corrupt}: body checksum mismatch"),
     ("stats", "truncated model", "stats --model {truncated}",
-     1, "error: file ends at byte"),
+     1, "error: {truncated}: file ends at byte"),
 ]
 
 

@@ -15,6 +15,7 @@ from graphex.inference import (
     BatchItem,
     Prediction,
     Query,
+    _candidates,
     _prune_cutoff,
     encode_row,
     enumerate_candidates,
@@ -30,6 +31,7 @@ from helpers import (
     make_rows,
     make_title,
     predictions_as_tuples,
+    reference_candidates,
 )
 
 from conftest import HEADPHONES_LEAF, HEADPHONES_TITLE
@@ -325,6 +327,73 @@ def test_recommend_matches_brute_force_on_adversarial_leaves(
         # 120 candidates tied at count 1: the cap trims the kept group,
         # and requiring 2 common tokens leaves nothing.
         assert len(got) == (max_predictions if min_common == 1 else 0)
+
+
+def _overlap_leaf(n3: int, n2: int, n1: int):
+    """A leaf whose keyphrases share 3, 2 and 1 tokens with the title "a b c".
+
+    It sits after a noise leaf over the same tokens, so its keyphrase ids
+    start above zero.  The title gathers ``3*n3 + 2*n2 + n1`` edges, and
+    ``n3 + n2`` ids repeat.
+    """
+    texts = ([f"a b c x{i}" for i in range(n3)] + [f"a b y{i}" for i in range(n2)]
+             + [f"a z{i}" for i in range(n1)])
+    rng = random.Random(n3 * 10_000 + n2 * 100 + n1)
+    rows = [RawKeyphraseRow(text, 2, float(rng.randint(0, 3)), float(rng.randint(0, 3)))
+            for text in texts]
+    rows += [RawKeyphraseRow(text, 1, 1.0, 1.0) for text in ("a b", "b c", "a x0", "c")]
+    dataset = curate(rows, orientation=COUNT_ORIENTATION)
+    return dataset, build(dataset)
+
+
+# (keyphrases sharing 3, 2 and 1 title tokens, k, min_common_tokens)
+@pytest.mark.parametrize(
+    "n3, n2, n1, k, min_common",
+    [
+        # Exactly k, k - 1 and k + 1 distinct repeated ids.
+        pytest.param(1, 3, 6, 4, None, id="k-repeats"),
+        pytest.param(0, 4, 6, 4, None, id="k-repeats-all-one-group"),
+        pytest.param(1, 2, 6, 4, None, id="k-minus-1-repeats"),
+        pytest.param(0, 3, 6, 4, None, id="k-minus-1-repeats-one-group"),
+        pytest.param(2, 3, 6, 4, None, id="k-plus-1-repeats"),
+        pytest.param(0, 4, 0, 4, None, id="k-repeats-in-2k-edges"),
+        # No repeats: the cutoff is 1 and every candidate survives.
+        pytest.param(0, 0, 9, 4, None, id="no-repeats"),
+        # k repeated ids need 2k edges: 2k - 1 edges count every run.
+        pytest.param(0, 3, 1, 4, None, id="edges-2k-minus-1"),
+        # As many gathered edges as k, and one more.
+        pytest.param(0, 1, 3, 5, None, id="edges-equal-k"),
+        pytest.param(0, 1, 4, 5, None, id="edges-k-plus-1"),
+        pytest.param(1, 0, 2, 5, None, id="edges-equal-k-count-3"),
+        pytest.param(0, 1, 3, 5, 2, id="edges-equal-k-floor-2"),
+        pytest.param(0, 1, 4, 5, 2, id="edges-k-plus-1-floor-2"),
+        # k = 1.
+        pytest.param(0, 1, 5, 1, None, id="k1-one-repeat"),
+        pytest.param(0, 2, 5, 1, None, id="k1-two-repeats"),
+        pytest.param(0, 0, 5, 1, None, id="k1-no-repeats"),
+        pytest.param(1, 0, 0, 1, None, id="k1-one-candidate"),
+        # A floor of 2 or 3 with k or fewer edges still filters.
+        pytest.param(0, 2, 2, 10, 2, id="short-floor-2"),
+        pytest.param(1, 1, 2, 10, 2, id="short-floor-2-count-3"),
+        pytest.param(1, 1, 2, 10, 3, id="short-floor-3"),
+        pytest.param(0, 2, 2, 10, 3, id="short-floor-3-empties"),
+        # A floor on the long path, with fewer than k repeats.
+        pytest.param(1, 2, 9, 5, 2, id="long-floor-2"),
+        pytest.param(1, 2, 9, 5, 3, id="long-floor-3"),
+    ],
+)
+def test_candidates_match_the_count_everything_reference_at_each_boundary(
+    n3, n2, n1, k, min_common
+):
+    dataset, model = _overlap_leaf(n3, n2, n1)
+    query = Query("a b c", 2, k=k)
+    got = _candidates(model, query, min_common)
+    expected = reference_candidates(model, query, min_common)
+    assert got[0].tolist() == expected[0].tolist()
+    assert got[1].tolist() == expected[1].tolist()
+    assert got[2] == expected[2] == 3
+    assert predictions_as_tuples(recommend(model, query, min_common_tokens=min_common)) == (
+        brute_recommend(dataset, 2, "a b c", k, min_common_tokens=min_common or 1))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ logic.  Seeds are fixed: failures reproduce deterministically.
 """
 
 from helpers import (
+    check_dense_leaf_equivalence,
     check_in_vocabulary_guarantee,
     check_lta_monotonicity,
     check_permutation_insensitivity,
@@ -29,3 +30,7 @@ def test_predictions_stay_inside_the_queried_leaf():
 
 def test_count_group_pruning_matches_reference():
     assert check_prune_group_rule(N_CASES) == N_CASES
+
+
+def test_dense_leaves_match_the_full_scan():
+    assert check_dense_leaf_equivalence(N_CASES) == N_CASES

@@ -134,6 +134,29 @@ def test_errors_are_distinct_types(headphones_model):
         assert issubclass(expected, ModelFormatError)
 
 
+def test_load_names_the_file_and_keeps_the_error_class(headphones_model, tmp_path):
+    # A corrupt model's error read "body checksum mismatch: ..." with no
+    # file name, while every input-line error names its file.
+    data = to_bytes(headphones_model)
+    corrupt = bytearray(data)
+    corrupt[len(data) // 2] ^= 0xFF
+    cases = {ChecksumError: bytes(corrupt), TruncatedModelError: data[:40],
+             NotAModelFileError: b"nope"}
+    for expected, payload in cases.items():
+        path = tmp_path / expected.__name__
+        path.write_bytes(payload)
+        with pytest.raises(expected) as excinfo:
+            load(str(path))
+        with pytest.raises(expected) as bare:
+            from_bytes(payload)
+        assert str(excinfo.value) == f"{path}: {bare.value}"
+    good = str(tmp_path / "good.gex")
+    save(headphones_model, good)
+    model, read_bytes = storage.read(good)
+    assert read_bytes == data
+    assert_models_equal(model, headphones_model)
+
+
 def test_loaded_model_answers_queries_identically(headphones_model, tmp_path):
     from graphex.inference import Query, recommend
 
