@@ -206,10 +206,6 @@ class CuratedDataset:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def num_keyphrases(self) -> int:
-        return sum(len(group) for group in self.leaves.values())
-
-    @property
     def is_vacuous(self) -> bool:
         return not self.leaves
 

@@ -25,6 +25,8 @@ from .vocab import tokenize
 
 # Largest completion reply read; a longer one is an oracle error.
 MAX_COMPLETION_BYTES = 1 << 20
+# Seconds a completion request may wait to connect or for each read.
+COMPLETION_TIMEOUT_S = 30.0
 
 
 class OracleError(Exception):
@@ -120,16 +122,17 @@ class HttpCompletionOracle(RelevanceOracle):
 
     Sends ``{"prompt": ...}`` built from the packaged template and expects
     a JSON response whose completion field (``text``, ``completion``,
-    ``response``, or ``answer``) parses as yes or no.  Transport failures
-    and unparseable answers raise :class:`OracleError`; there is no
-    default judgment.
+    ``response``, or ``answer``) parses as yes or no.  Each request waits
+    at most ``COMPLETION_TIMEOUT_S`` to connect and for each read, and
+    reads at most ``MAX_COMPLETION_BYTES`` of reply.  Transport failures,
+    timeouts, oversized replies and unparseable answers raise
+    :class:`OracleError`; there is no default judgment.
     """
 
     name = "http"
 
-    def __init__(self, url: str, timeout: float = 30.0):
+    def __init__(self, url: str):
         self.url = url
-        self.timeout = timeout
         self.template = load_prompt_template()
 
     def _prompt(self, title: str, keyphrase: str) -> str:
@@ -143,7 +146,7 @@ class HttpCompletionOracle(RelevanceOracle):
             self.url, data=body, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=COMPLETION_TIMEOUT_S) as response:
                 payload = response.read(MAX_COMPLETION_BYTES + 1)
         except (urllib.error.URLError, OSError) as exc:
             raise OracleError(f"completion request failed: {exc}") from exc
@@ -202,7 +205,6 @@ class Judgment:
     item_id: str
     keyphrase: str
     relevant: bool
-    source: str
 
 
 @dataclass(frozen=True)
@@ -286,11 +288,13 @@ def judge(
 ) -> tuple[list[Judgment], list[JudgeError]]:
     """Judge every unique (item, keyphrase) pair in a run.
 
-    Oracle calls go through ``cache`` (judging the same run twice with a
-    shared cache makes zero new calls), at most ``max_in_flight`` at a
-    time.  Each missing pair is attempted ``retries + 1`` times; pairs
-    that still fail become :class:`JudgeError` records rather than
-    default judgments.
+    Returns one :class:`Judgment` (item, keyphrase, verdict) per judged
+    pair, in first-seen order; every verdict is ``oracle``'s, so a
+    judgment does not repeat its name.  Oracle calls go through
+    ``cache`` (judging the same run twice with a shared cache makes zero
+    new calls), at most ``max_in_flight`` at a time.  Each missing pair
+    is attempted ``retries + 1`` times; pairs that still fail become
+    :class:`JudgeError` records rather than default judgments.
     """
     if cache is None:
         cache = JudgmentCache()
@@ -325,7 +329,7 @@ def judge(
         if verdict is None:
             errors.append(JudgeError(item_id, keyphrase, failures.get(key, "not judged")))
         else:
-            judgments.append(Judgment(item_id, keyphrase, verdict, oracle.name))
+            judgments.append(Judgment(item_id, keyphrase, verdict))
     return judgments, errors
 
 
@@ -522,15 +526,15 @@ def relative_ratios(
     run_b: ModelRun,
     judgment_map: dict[tuple[str, str], bool],
     threshold: HeadThreshold,
-    search_counts: dict[str, float] | None = None,
 ) -> tuple[float | None, float | None]:
     """(relevancy ratio, head ratio) of run_a over run_b.
 
-    Ratios compare per-item average counts; a zero denominator yields
+    Ratios compare per-item average counts; a prediction is head when
+    its own search score clears ``threshold``.  A zero denominator yields
     ``None`` rather than infinity.
     """
-    _, rel_a, head_a = _run_counts(run_a, judgment_map, threshold, search_counts)
-    _, rel_b, head_b = _run_counts(run_b, judgment_map, threshold, search_counts)
+    _, rel_a, head_a = _run_counts(run_a, judgment_map, threshold, None)
+    _, rel_b, head_b = _run_counts(run_b, judgment_map, threshold, None)
     n_a, n_b = len(run_a.items), len(run_b.items)
     return (
         _ratio(_per_item(rel_a, n_a), _per_item(rel_b, n_b)),

@@ -163,13 +163,6 @@ class LeafGraph:
         """Keyphrase ids adjacent to local row ``row`` (a view, not a copy)."""
         return self.edges[self.offsets[row]:self.offsets[row + 1]]
 
-    def adjacency(self, token_id: int) -> np.ndarray:
-        """Keyphrase ids adjacent to a global token id (empty if absent)."""
-        row = self.row_of(token_id)
-        if row is None:
-            return self.edges[:0]
-        return self.adjacency_row(row)
-
 
 class Model:
     """Immutable recommendation model: vocabulary, keyphrases, leaf graphs.

@@ -321,7 +321,6 @@ class BatchItem:
 @dataclass
 class BatchResult:
     item_id: str
-    query: Query
     predictions: list[Prediction] = field(default_factory=list)
     error: str | None = None
 
@@ -343,9 +342,10 @@ def recommend_batch(
     Candidates are gathered, counted and pruned one item at a time; the
     survivors of each chunk of items are then scored and ranked together
     in one vectorized pass, which saves the fixed per-call cost of the
-    small numpy calls a single ranking makes.  Results keep input order.
-    Per-item failures (unknown leaf, bad query) land in
-    ``BatchResult.error`` without aborting the batch.  ``workers`` is
+    small numpy calls a single ranking makes.  There is one result per
+    item, in input order; it carries the item's id, not its query, which
+    the caller holds.  Per-item failures (unknown leaf, bad query) land
+    in ``BatchResult.error`` without aborting the batch.  ``workers`` is
     accepted for compatibility and has no effect: a query spends its time
     in short numpy calls that hold the interpreter lock, so threads would
     only add overhead.
@@ -365,9 +365,9 @@ def recommend_batch(
         ranked = iter(_rank(model, survivors, align, max_predictions) if survivors else ())
         for item, error in zip(chunk, errors):
             if error is None:
-                results.append(BatchResult(item.item_id, item.query, next(ranked)))
+                results.append(BatchResult(item.item_id, next(ranked)))
             else:
-                results.append(BatchResult(item.item_id, item.query, [], error))
+                results.append(BatchResult(item.item_id, [], error))
     return results
 
 

@@ -93,12 +93,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def surface(self, token_id: int) -> str:
-        """Return the token string for ``token_id``."""
-        if not 0 <= token_id < len(self._surfaces):
-            raise IndexError(f"token id out of range: {token_id}")
-        return self._surfaces[token_id]
-
     def surfaces(self) -> list[str]:
         """All token strings in id order (a copy)."""
         return list(self._surfaces)

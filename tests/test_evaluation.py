@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from graphex import evaluation
 from graphex.evaluation import (
     FixtureOracle,
     MAX_COMPLETION_BYTES,
@@ -110,7 +113,6 @@ def test_judge_emits_one_judgment_per_unique_pair():
         ("i1", "b", False),
         ("i2", "a", True),
     ]
-    assert all(j.source == "map" for j in judgments)
     assert oracle.calls == 3
 
 
@@ -227,9 +229,21 @@ def test_http_oracle_raises_on_garbage_and_transport_errors(completion_server):
     responses.append((500, {"error": "boom"}))
     with pytest.raises(OracleError):
         oracle.relevant("i", "t", "k")
-    dead = HttpCompletionOracle("http://127.0.0.1:1/complete", timeout=0.2)
+    dead = HttpCompletionOracle("http://127.0.0.1:1/complete")
     with pytest.raises(OracleError):
         dead.relevant("i", "t", "k")
+
+
+def test_http_oracle_gives_up_on_a_silent_endpoint_after_the_timeout(monkeypatch):
+    # The kernel completes the connection on a listening socket that never
+    # accepts, so the request is sent and no reply ever comes.
+    monkeypatch.setattr(evaluation, "COMPLETION_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        oracle = HttpCompletionOracle(f"http://127.0.0.1:{silent.getsockname()[1]}/complete")
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="timed out"):
+            oracle.relevant("i", "t", "k")
+        assert time.monotonic() - start < 2
 
 
 def test_http_oracle_reads_at_most_a_capped_reply(completion_server):
@@ -342,7 +356,7 @@ def test_exclusive_ratio_divides_the_baseline_by_the_run():
 def dict_to_judgments(verdicts):
     from graphex.evaluation import Judgment
 
-    return [Judgment(item, kp, flag, "map") for (item, kp), flag in verdicts.items()]
+    return [Judgment(item, kp, flag) for (item, kp), flag in verdicts.items()]
 
 
 def test_exclusive_diversity_identical_runs_are_all_zero():
@@ -491,6 +505,6 @@ def test_model_run_from_jsonl_skips_blank_lines_and_names_a_bad_one(tmp_path):
 def test_build_judgment_map_rejects_conflicts():
     from graphex.evaluation import Judgment
 
-    rows = [Judgment("i", "kp", True, "x"), Judgment("i", "kp", False, "x")]
+    rows = [Judgment("i", "kp", True), Judgment("i", "kp", False)]
     with pytest.raises(ValueError):
         build_judgment_map(rows)

@@ -18,6 +18,7 @@ from graphex.curation import (
 )
 from graphex import graph as graph_module
 from graphex.graph import StringTable, UnknownLeafError, build
+from graphex.inference import _gather
 from graphex.storage import to_bytes
 
 from helpers import (
@@ -53,8 +54,12 @@ def test_headphones_leaf_degrees_match_full_scan(headphones_dataset, headphones_
     for token in ["headphones", "audeze", "xbox", "wireless", "maxwell", "gaming", "bluetooth"]:
         token_id = headphones_model.vocabulary.lookup(token)
         assert token_id is not None
-        assert len(graph.adjacency(token_id)) == brute_degree(texts, token)
-    assert len(graph.adjacency(10_000)) == 0
+        row = graph.row_of(token_id)
+        assert row is not None
+        assert len(graph.adjacency_row(row)) == brute_degree(texts, token)
+        assert len(_gather(headphones_model, graph, [token])) == brute_degree(texts, token)
+    assert graph.row_of(10_000) is None
+    assert len(_gather(headphones_model, graph, ["nosuchtoken"])) == 0
 
 
 def lookup_cases(rows: list[int]) -> list[int]:
@@ -70,19 +75,26 @@ def test_row_lookup_matches_a_dict_over_token_rows(seed):
     dataset = make_dataset(rng, 60, vocab_size=30, leaf_ids=[1, 2, 3], min_len=1, max_len=4)
     dataset.leaves[4] = dataset_of(("onlytoken", 4)).leaves[4]
     model = build(dataset)
+    surfaces = model.vocabulary.surfaces()
     for leaf_id in model.leaf_categories:
         graph = model.leaf(leaf_id)
         rows = graph.token_rows.tolist()
         expected = {token_id: row for row, token_id in enumerate(rows)}
+        leaf_kp_ids = range(graph.kp_base, graph.kp_base + graph.num_keyphrases)
         for token_id in lookup_cases(rows):
             row = expected.get(token_id)
             assert graph.row_of(token_id) == row, (leaf_id, token_id)
-            adjacency = graph.adjacency(token_id)
-            assert adjacency.dtype == graph.edges.dtype
-            if row is None:
-                assert len(adjacency) == 0
-            else:
-                assert adjacency.tolist() == graph.adjacency_row(row).tolist()
+            members = []
+            if row is not None:
+                adjacency = graph.adjacency_row(row)
+                assert adjacency.dtype == graph.edges.dtype
+                members = [kp_id for kp_id in leaf_kp_ids
+                           if surfaces[token_id] in model.kp_text(kp_id).split()]
+                assert adjacency.tolist() == members, (leaf_id, token_id)
+            # A vocabulary token takes the same lookup inside a query.
+            if 0 <= token_id < len(surfaces):
+                gathered = _gather(model, graph, [surfaces[token_id]])
+                assert gathered.tolist() == members, (leaf_id, token_id)
     assert model.leaf(4).num_tokens == 1
 
 
@@ -152,18 +164,19 @@ def test_graph_edges_match_membership_both_ways_on_random_models():
     for _ in range(10):
         dataset = make_dataset(rng, 120, vocab_size=25, leaf_ids=[1, 2], min_len=1, max_len=4)
         model = build(dataset)
+        surfaces = model.vocabulary.surfaces()
         for leaf_id, group in dataset.leaves.items():
             graph = model.leaf(leaf_id)
             texts = [kp.text for kp in group]
             # Forward: each CSR edge corresponds to real token membership.
             for row, token_id in enumerate(graph.token_rows.tolist()):
-                token = model.vocabulary.surface(token_id)
+                token = surfaces[token_id]
                 for kp_id in graph.adjacency_row(row).tolist():
                     assert token in set(model.kp_text(kp_id).split())
             # Backward: every membership pair appears exactly once.
             edge_pairs = []
             for row, token_id in enumerate(graph.token_rows.tolist()):
-                token = model.vocabulary.surface(token_id)
+                token = surfaces[token_id]
                 edge_pairs.extend((token, kp_id) for kp_id in graph.adjacency_row(row).tolist())
             expected = {
                 (token, graph.kp_base + idx)

@@ -392,7 +392,6 @@ def test_leaf_without_token_rows_loads_and_answers_empty():
     for candidate in (model, loaded):
         assert recommend(candidate, Query("a b", 2)) == []
         assert candidate.leaf(2).row_of(0) is None
-        assert len(candidate.leaf(2).adjacency(0)) == 0
         assert [p.keyphrase for p in recommend(candidate, Query("a b", 1))] == ["a b"]
 
 

@@ -111,16 +111,17 @@ def test_vocabulary_assigns_dense_ids_in_insertion_order():
     ids = [vocab.lookup(t) for t in ["gaming", "headphones", "gaming", "xbox"]]
     assert ids == [0, 1, 0, 2]
     assert len(vocab) == 3
-    assert [vocab.surface(i) for i in range(3)] == ["gaming", "headphones", "xbox"]
+    assert vocab.surfaces() == ["gaming", "headphones", "xbox"]
 
 
 def test_vocabulary_roundtrip_is_bijective():
     tokens = [f"t{i}" for i in range(100)]
     vocab = Vocabulary(tokens)
+    surfaces = vocab.surfaces()
     for token in tokens:
         token_id = vocab.lookup(token)
         assert token_id is not None
-        assert vocab.surface(token_id) == token
+        assert surfaces[token_id] == token
 
 
 def test_vocabulary_rejects_empty_and_whitespace_tokens():
@@ -145,14 +146,6 @@ def test_frozen_vocabulary_rejects_writes_and_reports_absent():
     assert vocab.lookup("unknown") is None
     for name in ("intern", "freeze", "frozen", "from_surfaces"):
         assert not hasattr(Vocabulary, name)
-
-
-def test_vocabulary_surface_rejects_out_of_range_ids():
-    vocab = Vocabulary(["only"])
-    with pytest.raises(IndexError):
-        vocab.surface(1)
-    with pytest.raises(IndexError):
-        vocab.surface(-1)
 
 
 def test_from_surfaces_rebuilds_identical_table():
