@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -141,6 +139,11 @@ class HttpCompletionOracle(RelevanceOracle):
     def relevant(self, item_id: str, title: str | None, keyphrase: str) -> bool:
         if title is None:
             raise OracleError(f"item {item_id!r} has no title for the completion oracle")
+        # Imported here, not at module level: urllib.request loads
+        # http.client, email and ssl, several MiB that no other command uses.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"prompt": self._prompt(title, keyphrase)}).encode("utf-8")
         request = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}

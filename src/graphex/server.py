@@ -4,14 +4,23 @@ One immutable model is shared across handler threads; queries never
 mutate it, so no locking is needed on the read path.  A ``/recommend``
 answer is written by the same row encoder as batch inference, keeping the
 two output paths byte-identical for identical inputs.
+
+The handler frames HTTP/1.x itself on a ``socketserver`` connection: a
+request line, at most ``_MAX_HEADERS`` header lines and a body of
+``Content-Length`` bytes, all read under one deadline per request.  The
+server needs nothing of ``http.server``, whose import chain (``http.client``,
+``email``, ``ssl``) would hold several MiB in every serving process.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socketserver
+import threading
+import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from . import storage
 from .graph import Model, UnknownLeafError
@@ -26,8 +35,24 @@ from .inference import (
 
 log = logging.getLogger("graphex.server")
 
-# Largest request body read; a longer one is read to its end and answered 413.
+# Largest request body read.  A longer one up to twice this is read to its
+# end and answered 413; past that, the 413 closes the connection unread.
 MAX_BODY_BYTES = 1 << 20
+# Connections served at once.  Past it, a new connection gets 503 and is
+# closed by the accepting thread, so slow clients cannot use up threads.
+MAX_CONNECTIONS = 64
+# Longest request or header line, ending included, and most header lines,
+# the blank one that ends them included: the limits of http.client, which
+# answered 414 and 431 past them.
+_MAX_LINE_BYTES = 1 << 16
+_MAX_HEADERS = 100
+_RECV_BYTES = 1 << 16
+
+_STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+                 for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 @dataclass
@@ -86,98 +111,237 @@ def _content_length(header: str | None) -> int | None:
     return int(header)
 
 
-class RecommendServer(ThreadingHTTPServer):
-    """HTTP server carrying the shared model and serving configuration."""
+def _http_version(word: str) -> tuple[int, int] | None:
+    """``(major, minor)`` from ``HTTP/<digits>.<digits>``, or ``None``."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or not all(
+        n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
+    ):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
+
+def _http_date() -> str:
+    """The current time as an HTTP ``Date`` value, independent of locale."""
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+def _json_bytes(payload: dict | str) -> bytes:
+    """``payload`` as JSON text, or a dict to dump, in UTF-8."""
+    return (payload if isinstance(payload, str) else json.dumps(payload)).encode("utf-8")
+
+
+def _response(status: int, payload: dict | str, close: bool) -> bytes:
+    """One whole response: status line, headers and ``payload`` as the JSON body."""
+    body = _json_bytes(payload)
+    connection = "Connection: close\r\n" if close else ""
+    head = (f"{_STATUS_LINES[status]}Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nDate: {_http_date()}\r\n{connection}\r\n")
+    return head.encode("ascii") + body
+
+
+class RecommendServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server carrying the shared model and serving configuration.
+
+    Each connection is served by its own daemon thread, at most
+    ``MAX_CONNECTIONS`` at once.
+    """
+
+    # A restarted server can bind its port while old connections linger.
+    allow_reuse_address = True
     daemon_threads = True
     request_queue_size = 128
 
     def __init__(self, config: ServeConfig, model: Model):
-        super().__init__((config.host, config.port), _Handler)
         self.config = config
         self.model = model
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        super().__init__((config.host, config.port), _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        if self._slots.acquire(blocking=False):
+            super().process_request(request, client_address)
+            return
+        # Every slot is taken: answer here and start no thread.  The reply
+        # fits in the socket's send buffer, so the accepting thread does
+        # not wait on the client.
+        try:
+            request.sendall(_response(503, {"error": "server busy, try again"}, close=True))
+        except OSError:
+            pass
+        self.shutdown_request(request)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
+    """Reads and answers the requests of one connection in turn.
+
+    Every request's body is read before its answer, so the next request on
+    a kept-alive connection starts where this one ended.
+    """
+
     server: RecommendServer
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    # Seconds a connection may sit idle or stall mid-request; a body
-    # shorter than its Content-Length then closes the connection instead
-    # of holding the handler thread forever.
+    # Seconds one request may take from its first byte to the end of its
+    # body, and seconds a kept-alive connection may wait for the next
+    # request.  Past it the connection closes, so a client that stalls or
+    # trickles bytes cannot hold the handler thread.
     timeout = 30
 
-    def log_message(self, format: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), format % args)
+    def handle(self) -> None:
+        self.buffer = bytearray()
+        try:
+            while self._serve_one():
+                pass
+        except OSError as exc:  # the deadline passed (TimeoutError) or the client left
+            log.debug("%s: connection closed: %r", self.client_address[0], exc)
 
-    def _send_json(self, status: int, payload: dict | str) -> None:
-        """Send one JSON response: ``payload`` as JSON text, or a dict to dump."""
-        body = (payload if isinstance(payload, str) else json.dumps(payload)).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        # Status line, headers and body leave in one send: a second send
-        # would wait on the client's delayed ACK (~40 ms) under Nagle's
-        # algorithm.  wfile stays unbuffered so that the interim
-        # "100 Continue" of an Expect request is not held back.
-        if self.request_version == "HTTP/0.9":
-            self.wfile.write(body)  # HTTP/0.9 answers carry no headers
-        else:
-            self._headers_buffer.append(b"\r\n" + body)
-            self.flush_headers()
+    def _recv(self, deadline: float) -> bool:
+        """Append the client's next bytes to the buffer; ``False`` once it has closed."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request deadline passed")
+        self.connection.settimeout(remaining)
+        data = self.connection.recv(_RECV_BYTES)
+        self.buffer += data
+        return bool(data)
 
-    def _handle(self) -> None:
-        """Answer one request: check ``Content-Length``, read the body, then route.
+    def _line(self, deadline: float) -> bytes | None:
+        """The next line, ending included; ``None`` if over ``_MAX_LINE_BYTES``.
 
-        Every request's body is read before any answer, so the next
-        request on a kept-alive connection starts where this one ended.
+        After the client closes, the rest of the buffer is the last line.
         """
-        if "Transfer-Encoding" in self.headers:
+        buffer = self.buffer
+        while (end := buffer.find(b"\n", 0, _MAX_LINE_BYTES)) < 0:
+            if len(buffer) >= _MAX_LINE_BYTES:
+                return None
+            if not self._recv(deadline):
+                end = len(buffer) - 1
+                break
+        line = bytes(buffer[:end + 1])
+        del buffer[:end + 1]
+        return line
+
+    def _headers(self, deadline: float) -> dict[str, str] | None:
+        """Header values by lower-case name (the first of repeats); ``None`` past a limit."""
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            line = self._line(deadline)
+            if line is None:
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if colon:
+                headers.setdefault(name.lower(), value.strip())
+        return None
+
+    def _body(self, length: int, deadline: float) -> bytes | None:
+        """The next ``length`` bytes; ``None`` if the client closes first."""
+        buffer = self.buffer
+        while len(buffer) < length:
+            if not self._recv(deadline):
+                return None
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        return body
+
+    def _send(self, status: int, payload: dict | str, close: bool, bare: bool = False) -> bool:
+        """Send one answer in one write; returns whether the connection stays open.
+
+        A ``bare`` answer, to an HTTP/0.9 request, is the body alone.
+        """
+        data = _json_bytes(payload) if bare else _response(status, payload, close)
+        # One write: a second would wait on the client's delayed ACK
+        # (~40 ms) under Nagle's algorithm.
+        self.connection.sendall(data)
+        return not close
+
+    def _serve_one(self) -> bool:
+        """Read and answer one request; returns whether to read another."""
+        if not self.buffer and not self._recv(time.monotonic() + self.timeout):
+            return False  # the client closed between requests
+        deadline = time.monotonic() + self.timeout
+        line = self._line(deadline)
+        if line is None:
+            return self._send(414, {"error": "request line too long"}, True)
+        request_line = line.decode("iso-8859-1").rstrip("\r\n")
+        words = request_line.split()
+        if not words:
+            return False
+        version = None  # HTTP/0.9: no version word, and no headers in the answer
+        if len(words) >= 3:
+            version = _http_version(words[-1])
+            if version is None:
+                return self._send(400, {"error": f"bad request version {words[-1]!r}"}, True)
+            if version >= (2, 0):
+                return self._send(505, {"error": f"unsupported HTTP version {words[-1]!r}"},
+                                  True)
+        bare = version is None
+        if not 2 <= len(words) <= 3 or (bare and words[0] != "GET"):
+            return self._send(400, {"error": f"bad request line {request_line!r}"}, True, bare)
+        method, path = words[:2]
+        headers = self._headers(deadline)
+        if headers is None:
+            return self._send(431, {"error": f"{_MAX_HEADERS} header lines or a line over "
+                                             f"{_MAX_LINE_BYTES} bytes"}, True, bare)
+        connection = headers.get("connection", "").lower()
+        close = bare or connection == "close" or (version < (1, 1) and connection != "keep-alive")
+        if method not in ("GET", "POST"):
+            return self._send(501, {"error": f"unsupported method {method!r}"}, True, bare)
+        if "transfer-encoding" in headers:
             # A chunked body is not read, so the connection cannot be reused.
-            self.close_connection = True
-            self._send_json(411, {"error": "send the body with a Content-Length"})
-            return
-        length = _content_length(self.headers.get("Content-Length"))
+            return self._send(411, {"error": "send the body with a Content-Length"}, True, bare)
+        length = _content_length(headers.get("content-length"))
         if length is None:
             # The body's extent is unknown, so the connection cannot be reused.
-            self.close_connection = True
-            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
-            return
+            return self._send(400, {"error": "Content-Length must be a non-negative integer"},
+                              True, bare)
+        too_long = {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+        if length > 2 * MAX_BODY_BYTES:
+            return self._send(413, too_long, True, bare)
+        if not bare and version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        # Read an over-long body to its end too: an answer sent first would
+        # leave the body in the stream, and closing at once resets a client
+        # still sending.
+        body = self._body(length, deadline)
+        if body is None:
+            return False
         if length > MAX_BODY_BYTES:
-            # Read it to its end: an answer sent first would leave the body
-            # in the stream, and closing at once resets a client still sending.
-            while length > 0 and (chunk := self.rfile.read(min(length, 1 << 16))):
-                length -= len(chunk)
-            self._send_json(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
-            return
-        body = self.rfile.read(length)
-        route = (self.command, self.path)
-        if route == ("POST", "/recommend"):
-            self._recommend(body)
-        elif route == ("GET", "/healthz"):
+            return self._send(413, too_long, close, bare)
+        if (method, path) == ("POST", "/recommend"):
+            status, payload = self._recommend(body)
+        elif (method, path) == ("GET", "/healthz"):
             model = self.server.model
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "meta_category": model.meta_category,
-                    "format_version": storage.FORMAT_VERSION,
-                    "leaves": len(model.leaf_graphs),
-                    "keyphrases": model.num_keyphrases,
-                },
-            )
+            status, payload = 200, {
+                "status": "ok",
+                "meta_category": model.meta_category,
+                "format_version": storage.FORMAT_VERSION,
+                "leaves": len(model.leaf_graphs),
+                "keyphrases": model.num_keyphrases,
+            }
         else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
+            status, payload = 404, {"error": f"no such path: {path}"}
+        log.debug('%s "%s %s" %d', self.client_address[0], method, path, status)
+        return self._send(status, payload, close, bare)
 
-    do_GET = do_POST = _handle
-
-    def _recommend(self, body: bytes) -> None:
+    def _recommend(self, body: bytes) -> tuple[int, dict | str]:
+        """Status and payload answering a ``/recommend`` body."""
         config = self.server.config
         try:
             title, leaf, k, align = _parse_recommend_body(body, config)
         except BadRequest as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
+            return 400, {"error": str(exc)}
         try:
             predictions = recommend(
                 self.server.model,
@@ -187,11 +351,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except UnknownLeafError as exc:
             if config.unknown_leaf_empty:
-                self._send_json(200, encode_row([]))
-            else:
-                self._send_json(404, {"error": str(exc)})
-            return
-        self._send_json(200, encode_row(predictions))
+                return 200, encode_row([])
+            return 404, {"error": str(exc)}
+        return 200, encode_row(predictions)
 
 
 def serve(config: ServeConfig, model: Model) -> None:

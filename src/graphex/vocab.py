@@ -70,29 +70,32 @@ class Vocabulary:
     vocabulary can be shared across threads freely.
     """
 
-    __slots__ = ("_surfaces", "lookup")
+    __slots__ = ("_ids", "lookup")
 
     def __init__(self, surfaces: Iterable[str]) -> None:
-        self._surfaces = list(surfaces)
-        ids = {token: i for i, token in enumerate(self._surfaces)}
-        for token in self._surfaces:
+        surfaces = list(surfaces)
+        # Dict keys keep insertion order, which is id order, so the id dict
+        # alone gives both directions; the list goes once it is checked.
+        ids = {token: i for i, token in enumerate(surfaces)}
+        for token in ids:
             if not token:
                 raise ValueError("cannot intern an empty token")
             # No alphanumeric code point is whitespace, so a clean token
             # skips the scan.
             if not token.isalnum() and any(ch.isspace() for ch in token):
                 raise ValueError(f"token contains whitespace: {token!r}")
-        if len(ids) != len(self._surfaces):
+        if len(ids) != len(surfaces):
             # A repeated token's dict entry holds its last position.
-            repeated = next(t for i, t in enumerate(self._surfaces) if ids[t] != i)
+            repeated = next(t for i, t in enumerate(surfaces) if ids[t] != i)
             raise ValueError(f"duplicate token {repeated!r}")
+        self._ids = ids
         # The id dict's own ``get``: ``lookup(token)`` returns the id, or
         # ``None`` for an unknown token, with no Python frame per call.
         self.lookup = ids.get
 
     def __len__(self) -> int:
-        return len(self._surfaces)
+        return len(self._ids)
 
     def surfaces(self) -> list[str]:
         """All token strings in id order (a copy)."""
-        return list(self._surfaces)
+        return list(self._ids)
