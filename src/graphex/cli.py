@@ -254,19 +254,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {len(errors)} pairs could not be judged", file=sys.stderr)
         return 1
 
+    orientation = curation.ScoreOrientation.from_name(args.score_orientation)
+    canonical = orientation.canonical_search
     if args.keyphrase_universe:
         search_counts = _load_universe(_require_file(args.keyphrase_universe))
     else:
+        # Each keyphrase's best search score across the runs.
         search_counts = {}
         for run in runs:
             for item in run.items:
                 for pred in item.predictions:
                     current = search_counts.get(pred.keyphrase)
-                    if current is None or pred.search > current:
+                    if current is None or canonical(pred.search) > canonical(current):
                         search_counts[pred.keyphrase] = pred.search
 
     threshold = evaluation.head_threshold(
-        sorted(search_counts.items()), percentile=args.head_percentile
+        sorted(search_counts.items()), percentile=args.head_percentile, orientation=orientation
     )
     baseline = args.baseline if args.baseline is not None else runs[0].name
     report = evaluation.compute_metrics(
@@ -378,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--keyphrase-universe", default=None,
                        help="TSV keyphrase<TAB>search count for the head threshold")
     evalp.add_argument("--head-percentile", type=float, default=90.0)
+    evalp.add_argument("--score-orientation", choices=["count", "rank"], default="count",
+                       help="search scores of the runs and the universe: count, higher "
+                            "is head; rank, lower is head")
     evalp.add_argument("--baseline", default=None, help="run name ratios compare against")
     evalp.add_argument("--report", default="-", help="JSON report path, - for stdout")
     evalp.add_argument("--max-in-flight", type=int, default=1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Hashable, Iterable, Sequence
 
-from .curation import read_lines
+from .curation import COUNT_ORIENTATION, ScoreOrientation, read_lines
 from .vocab import tokenize
 
 # Largest completion reply read; a longer one is an oracle error.
@@ -338,25 +338,38 @@ def judge(
 
 @dataclass(frozen=True)
 class HeadThreshold:
-    """Search-volume cutoff separating head keyphrases from the tail."""
+    """Search-score cutoff separating head keyphrases from the tail.
+
+    ``orientation`` says which way search scores point: counts, where
+    larger is better, or ranks, where 1 is best.
+    """
 
     percentile: float
     value: float
     universe_size: int
+    orientation: ScoreOrientation = COUNT_ORIENTATION
 
-    def is_head(self, search_count: float) -> bool:
-        return search_count > self.value
+    def is_head(self, search: float | None) -> bool:
+        """Whether ``search`` is strictly better than the threshold; None is not."""
+        if search is None:
+            return False
+        canonical = self.orientation.canonical_search
+        return canonical(search) > canonical(self.value)
 
 
 def head_threshold(
     pairs: Sequence[tuple[str, float]],
     percentile: float = 90.0,
+    orientation: ScoreOrientation = COUNT_ORIENTATION,
 ) -> HeadThreshold:
-    """Nearest-rank percentile of search counts over a keyphrase universe.
+    """Nearest-rank percentile of search scores over a keyphrase universe.
 
-    With the default 90th percentile, a keyphrase is head when its count
-    strictly exceeds the threshold, i.e. roughly the top 10% by volume.
-    Duplicate keyphrases in the universe are an error.
+    Scores are ordered from worst to best under ``orientation``.  With
+    counts and the default 90th percentile, a keyphrase is head when its
+    count strictly exceeds the threshold, i.e. roughly the top 10% by
+    volume; with ranks, when its rank is strictly below the threshold.
+    Scores are non-negative either way.  Duplicate keyphrases in the
+    universe are an error.
     """
     if not pairs:
         raise ValueError("keyphrase universe is empty")
@@ -371,9 +384,9 @@ def head_threshold(
         if not math.isfinite(count) or count < 0:
             raise ValueError(f"bad search count for {keyphrase!r}: {count}")
         counts.append(float(count))
-    counts.sort()
+    counts.sort(key=orientation.canonical_search)
     rank = max(1, math.ceil(percentile / 100 * len(counts)))
-    return HeadThreshold(percentile, counts[rank - 1], len(counts))
+    return HeadThreshold(percentile, counts[rank - 1], len(counts), orientation)
 
 
 def build_judgment_map(judgments: Iterable[Judgment]) -> dict[tuple[str, str], bool]:
@@ -396,10 +409,10 @@ def _lookup(judgment_map: dict[tuple[str, str], bool], run: str, item_id: str, k
         ) from None
 
 
-def _search_volume(pred: RunPrediction, search_counts: dict[str, float] | None) -> float:
-    """Volume from ``search_counts`` when given (0 if absent), else the prediction's own."""
+def _search_volume(pred: RunPrediction, search_counts: dict[str, float] | None) -> float | None:
+    """Score from ``search_counts`` when given (None if absent), else the prediction's own."""
     if search_counts is not None:
-        return search_counts.get(pred.keyphrase, 0.0)
+        return search_counts.get(pred.keyphrase)
     return pred.search
 
 

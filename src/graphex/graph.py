@@ -34,18 +34,49 @@ class UnknownLeafError(KeyError):
 # Entries decoded at a time when a string table is iterated.
 _ITER_CHUNK = 4096
 
+# Unsigned types an index array can be stored in, narrowest first.
+_UINTS = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def narrowest(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest type that holds every one of them exactly.
+
+    Floats become float32 when each value survives the round trip through
+    float32 bit for bit (``-0.0`` included), and float64 otherwise.
+    Non-negative integers take the first of uint8, uint16, uint32 and
+    uint64 that holds the largest.  An array already of that type is
+    returned as it is.  A model's arrays are narrowed when it is built
+    and again when it is written, so a built model, its file and the
+    model loaded from that file hold the same types.
+    """
+    if values.dtype.kind == "f":
+        with np.errstate(over="ignore"):
+            narrow = values.astype(np.float32, copy=False)
+        wide = values.astype(np.float64, copy=False)
+        exact = np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
+        return narrow if exact else wide
+    top = int(values.max()) if len(values) else 0
+    return values.astype(next(t for t in _UINTS if top <= np.iinfo(t).max), copy=False)
+
+
+def starts_dtype(nbytes: int) -> np.dtype:
+    """Type of the entry starts of a string table over ``nbytes`` of data."""
+    return np.dtype(np.uint32 if nbytes < 1 << 32 else np.uint64)
+
 
 class StringTable:
     """Read-only table of texts kept as one UTF-8 blob, not as ``str`` objects.
 
     Every entry is followed by ``\\n``, the layout of a text table in the
-    model file.  ``starts`` holds ``len(table) + 1`` int64 offsets into
+    model file.  ``starts`` holds ``len(table) + 1`` offsets into
     ``data``: entry ``i`` is ``data[starts[i]:starts[i + 1] - 1]`` and
-    the blob is ``data[starts[0]:starts[-1]]``.  A built table's ``data``
-    is its blob; a loaded table's is the whole file, so the table copies
-    nothing.  Indexing decodes one entry and :meth:`take` decodes many,
-    so a query decodes only the texts it returns.  A table compares equal
-    to another with the same blob and to a list of the same strings.
+    the blob is ``data[starts[0]:starts[-1]]``.  The offsets are uint32
+    when ``data`` is under 4 GiB and uint64 otherwise (:func:`starts_dtype`).
+    A built table's ``data`` is its blob; a loaded table's is the whole
+    file, so the table copies nothing.  Indexing decodes one entry and
+    :meth:`take` decodes many, so a query decodes only the texts it
+    returns.  A table compares equal to another with the same blob and to
+    a list of the same strings.
     """
 
     __slots__ = ("_data", "_starts")
@@ -58,11 +89,12 @@ class StringTable:
             bad = next(text for text in texts if "\n" in text)
             raise ValueError(f"a string table entry contains a newline: {bad!r}")
         self._data = blob
-        self._starts = memoryview(np.concatenate(([0], newlines + 1)).astype(np.int64, copy=False))
+        starts = np.concatenate(([0], newlines + 1)).astype(starts_dtype(len(blob)))
+        self._starts = memoryview(starts)
 
     @classmethod
     def from_buffer(cls, data: bytes, starts: np.ndarray) -> StringTable:
-        """A table over ``data`` whose int64 entry offsets are known (unchecked)."""
+        """A table over ``data`` whose entry offsets are known (unchecked)."""
         table = cls.__new__(cls)
         table._data = data
         # Indexing a memoryview gives Python ints, cheaper than numpy scalars.
@@ -115,9 +147,13 @@ class LeafGraph:
     strictly ascending order (loading a model file checks this), so the
     row of a token is found by binary search over it; row ``i`` covers
     ``edges[offsets[i]:offsets[i + 1]]``.  Edge lists store global
-    keyphrase ids, all within this leaf's dense range.  A graph holds only
-    these arrays, which are never mutated after construction, so it can be
-    shared across threads freely.
+    keyphrase ids, all within this leaf's dense range.  ``token_rows`` and
+    ``edges`` are uint32: a query searches the rows with a uint32 needle
+    and sorts gathered edges as uint32.  ``offsets`` takes the narrowest
+    unsigned type that holds the edge count (:func:`narrowest`), so a
+    leaf of fewer than 65,536 edges spends 2 bytes a row on it.  A graph
+    holds only these arrays, which are never mutated after construction,
+    so it can be shared across threads freely.
     """
 
     __slots__ = ("leaf_category", "token_rows", "offsets", "edges", "kp_base",
@@ -170,6 +206,9 @@ class Model:
     Keyphrase ``i`` has text ``kp_texts[kp_text_ref[i]]``, ``kp_lengths[i]``
     unique tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``;
     its tokens are the rows whose adjacency holds ``i`` in its leaf graph.
+    Each of these four arrays has the narrowest type that holds its
+    values exactly (:func:`narrowest`): an unsigned integer type for the
+    references and lengths, float32 or float64 for the scores.
     ``kp_texts`` is a :class:`StringTable`: the texts stay one UTF-8 blob
     (a view of the file bytes in a loaded model) and are decoded only
     when read, so a model holds no ``str`` per keyphrase.
@@ -274,7 +313,7 @@ def build(dataset: CuratedDataset) -> Model:
         leaf_graphs[leaf_id] = LeafGraph(
             leaf_category=leaf_id,
             token_rows=edge_tokens[starts],
-            offsets=np.append(starts, len(edges)).astype(np.int64, copy=False),
+            offsets=narrowest(np.append(starts, len(edges))),
             edges=edges,
             kp_base=kp_base,
             num_keyphrases=len(group),
@@ -287,11 +326,12 @@ def build(dataset: CuratedDataset) -> Model:
         orientation=orientation,
         vocabulary=vocabulary,
         kp_texts=StringTable(unique_texts),
-        kp_text_ref=np.fromiter(map(text_index.__getitem__, texts), np.uint32, len(texts)),
-        kp_lengths=kp_lengths,
-        kp_search=orientation.canonical_search(
-            np.array([kp.search_score for kp in keyphrases], dtype=np.float64)),
-        kp_recall=orientation.canonical_recall(
-            np.array([kp.recall_score for kp in keyphrases], dtype=np.float64)),
+        kp_text_ref=narrowest(
+            np.fromiter(map(text_index.__getitem__, texts), np.uint32, len(texts))),
+        kp_lengths=narrowest(kp_lengths),
+        kp_search=narrowest(orientation.canonical_search(
+            np.array([kp.search_score for kp in keyphrases], dtype=np.float64))),
+        kp_recall=narrowest(orientation.canonical_recall(
+            np.array([kp.recall_score for kp in keyphrases], dtype=np.float64))),
         leaf_graphs=leaf_graphs,
     )

@@ -22,26 +22,38 @@ padding out from the offset alone, and the arrays it returns are
 aligned.  Serialization is deterministic: the same
 model always produces the same bytes.
 
+The keyphrase table (text references, lengths, search and recall
+scores) and each leaf's row offsets are stored in the narrowest type
+that holds their values exactly (:func:`~graphex.graph.narrowest`).  A
+one-byte type code comes before each of these arrays, ahead of its
+padding: 1, 2, 3 and 4 are u8, u16, u32 and u64, allowed for the
+references, lengths and offsets; 5 and 6 are f32 and f64, allowed for
+the scores.  A leaf's token rows and edges are always u32 and have no
+code: they hold global token and keyphrase ids, and a query searches the
+token rows with a u32 needle and sorts gathered edges as u32.
+
 Loading checks the header, the checksum and then the structure, so that
-a file whose checksum matches but whose contents are inconsistent fails
-here with :class:`MalformedModelError` instead of misranking or raising
-at query time.  Only the current format version is read; older files
-are rebuilt with ``graphex train``.
+a file whose checksum matches but whose contents are inconsistent, or
+whose type code is unknown or not allowed for its array, fails here with
+:class:`MalformedModelError` instead of misranking or raising at query
+time.  Only the current format version (4) is read; older files are
+rebuilt with ``graphex train``.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 import zlib
 
 import numpy as np
 
 from .curation import ScoreOrientation
-from .graph import LeafGraph, Model, StringTable
+from .graph import LeafGraph, Model, StringTable, narrowest, starts_dtype
 from .vocab import Vocabulary
 
 MAGIC = b"GEX1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sI6Q")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
@@ -49,6 +61,12 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _LEAF_HEADER_NBYTES = 8 + 4 + 4 + 4 + 8
 _ALIGN = 8
+# Type codes, the byte written before each array whose stored type
+# follows its values (graph.narrowest).  Code 0 is no type, so zero
+# padding read as a code is an error.
+_INDEX_TYPES = {1: "<u1", 2: "<u2", 3: "<u4", 4: "<u8"}
+_SCORE_TYPES = {5: "<f4", 6: "<f8"}
+_TYPE_CODES = {np.dtype(t): code for code, t in {**_INDEX_TYPES, **_SCORE_TYPES}.items()}
 # Bytes of a text table checked at a time: decoding or scanning the whole
 # table at once would hold a temporary the size of the table at load.
 _DECODE_CHUNK = 1 << 20
@@ -128,9 +146,16 @@ class _Writer:
         self.align()
         self.buf += np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
+    def narrow_array(self, arr: np.ndarray) -> None:
+        """``arr`` in its narrowest type (:func:`narrowest`), after that type's code."""
+        arr = narrowest(arr)
+        dtype = arr.dtype.newbyteorder("<")
+        self.u8(_TYPE_CODES[dtype])
+        self.array(arr, dtype)
+
 
 class _Reader:
-    def __init__(self, data: bytes, pos: int) -> None:
+    def __init__(self, data: bytes | mmap.mmap, pos: int) -> None:
         self.data = data
         self.pos = pos
 
@@ -178,14 +203,15 @@ class _Reader:
         view = memoryview(data)
         # Each entry takes at least its newline, so a count above the byte
         # length is wrong and allocates no more than the bytes allow.
-        starts = np.empty(min(count, nbytes) + 1, dtype=np.int64)
+        starts = np.empty(min(count, nbytes) + 1, dtype=starts_dtype(len(data)))
         starts[0] = start
         found = 0
         pos = start
         while pos < end:
             # Cut after the first newline from a chunk's length on.  No
             # other UTF-8 sequence holds byte 0x0A, so no character splits.
-            cut = data.index(b"\n", min(pos + _DECODE_CHUNK, end) - 1) + 1
+            # The table ends in a newline, so one is always found.
+            cut = data.find(b"\n", min(pos + _DECODE_CHUNK, end) - 1, end) + 1
             try:
                 str(view[pos:cut], "utf-8")
             except UnicodeDecodeError as exc:
@@ -210,6 +236,12 @@ class _Reader:
         start = self._take(count * itemsize)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
+    def narrow_array(self, count: int, types: dict[int, str], what: str) -> np.ndarray:
+        """An array written by :meth:`_Writer.narrow_array` with one of ``types``."""
+        code = self.u8()
+        _require(code in types, f"{what}: type code {code} is not one of {sorted(types)}")
+        return self.array(count, types[code])
+
 
 def _write_meta(w: _Writer, model: Model) -> None:
     w.string(model.meta_category)
@@ -226,10 +258,12 @@ def _write_strings(w: _Writer, model: Model) -> None:
 
 def _write_keyphrases(w: _Writer, model: Model) -> None:
     w.u32(model.num_keyphrases)
-    w.array(model.kp_text_ref, "<u4")
-    w.array(model.kp_lengths, "<u4")
-    w.array(model.kp_search, "<f8")
-    w.array(model.kp_recall, "<f8")
+    w.narrow_array(model.kp_text_ref)
+    w.narrow_array(model.kp_lengths)
+    w.narrow_array(model.kp_search)
+    w.narrow_array(model.kp_recall)
+    # f32 scores can end off an 8-byte boundary; the leaf section starts on one.
+    w.align()
 
 def _write_leaf_block(w: _Writer, graph: LeafGraph) -> None:
     w.i64(graph.leaf_category)
@@ -238,7 +272,7 @@ def _write_leaf_block(w: _Writer, graph: LeafGraph) -> None:
     w.u32(_check_u32(graph.num_tokens, "leaf token count"))
     w.u64(graph.num_edges)
     w.array(graph.token_rows, "<u4")
-    w.array(graph.offsets, "<i8")
+    w.narrow_array(graph.offsets)
     w.array(graph.edges, "<u4")
 
 def _write_leaves(w: _Writer, model: Model) -> None:
@@ -254,15 +288,17 @@ def _write_leaves(w: _Writer, model: Model) -> None:
 def leaf_block_nbytes(graph: LeafGraph) -> int:
     """Serialized size of one leaf graph block, in bytes.
 
-    Includes the zero padding before each array and after the block, so
-    the sizes of all blocks add up to the leaf section minus its 8-byte
-    header (the leaf count and its padding).
+    Includes the offsets' type code and the zero padding before each
+    array and after the block, so the sizes of all blocks add up to the
+    leaf section minus its 8-byte header (the leaf count and its padding).
+    The offsets count in the type they are written in, whatever type
+    ``graph`` holds them in.
     """
     rows = graph.num_tokens
     return (
         _padded(_LEAF_HEADER_NBYTES)
-        + _padded(4 * rows)
-        + 8 * (rows + 1)
+        + _padded(4 * rows + 1)
+        + _padded(narrowest(graph.offsets).itemsize * (rows + 1))
         + _padded(4 * graph.num_edges)
     )
 
@@ -347,8 +383,12 @@ def _check_leaf_ranges(graphs: list[LeafGraph], num_keyphrases: int) -> None:
     )
 
 
-def from_bytes(data: bytes) -> Model:
-    """Parse a serialized model, validating magic, version, checksum and structure."""
+def from_bytes(data: bytes | mmap.mmap) -> Model:
+    """Parse a serialized model, validating magic, version, checksum and structure.
+
+    ``data`` is the file's bytes or a read-only ``mmap`` of the file; the
+    model's arrays and text tables view it in place.
+    """
     if len(data) < 4 or data[:4] != MAGIC:
         raise NotAModelFileError("missing GEX1 magic; not a model file")
     if len(data) < 8:
@@ -403,10 +443,10 @@ def from_bytes(data: bytes) -> Model:
         raise TruncatedModelError(
             f"keyphrase table holds {n} entries, meta section says {num_keyphrases}"
         )
-    kp_text_ref = kp.array(n, "<u4")
-    kp_lengths = kp.array(n, "<u4")
-    kp_search = kp.array(n, "<f8")
-    kp_recall = kp.array(n, "<f8")
+    kp_text_ref = kp.narrow_array(n, _INDEX_TYPES, "keyphrase text references")
+    kp_lengths = kp.narrow_array(n, _INDEX_TYPES, "keyphrase lengths")
+    kp_search = kp.narrow_array(n, _SCORE_TYPES, "keyphrase search scores")
+    kp_recall = kp.narrow_array(n, _SCORE_TYPES, "keyphrase recall scores")
     _require(
         not n or kp_text_ref.max() < num_strings,
         f"keyphrase text reference outside the {num_strings}-entry string table",
@@ -433,7 +473,7 @@ def from_bytes(data: bytes) -> Model:
         graph = LeafGraph(
             leaf_category=leaf_id,
             token_rows=leaves_reader.array(rows, "<u4"),
-            offsets=leaves_reader.array(rows + 1, "<i8"),
+            offsets=leaves_reader.narrow_array(rows + 1, _INDEX_TYPES, f"leaf {leaf_id} offsets"),
             edges=leaves_reader.array(edges, "<u4"),
             kp_base=kp_base,
             num_keyphrases=num_kp,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
 import sys
 import unicodedata
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -284,6 +286,79 @@ def make_title(rng: random.Random, vocab_size: int, length: int, unknown_rate: f
     if length >= 3 and rng.random() < 0.3:
         tokens[-1] = tokens[0]
     return " ".join(tokens)
+
+
+# ---------------------------------------------------------------------------
+# Format version 4 layout, read back by a parser independent of storage.py.
+
+HEADER_SIZE = 56
+# The type code before each array stored in the narrowest type that holds
+# its values.
+TYPE_CODES = {1: "<u1", 2: "<u2", 3: "<u4", 4: "<u8", 5: "<f4", 6: "<f8"}
+
+
+def section_offsets(buf):
+    return struct.unpack_from("<6Q", buf, 8)
+
+
+def parse_layout(buf):
+    """Array views (writable over a bytearray) and leaf block spans of a file.
+
+    Returns ``(arrays, leaves)``: ``arrays`` maps keyphrase array names to
+    ``(byte offset, view, type code offset)``; ``leaves`` holds one dict
+    per leaf block with its ``start``, leaf id, where its ``kp_base``
+    field sits and its arrays in the same form.  The type code offset is
+    None for the arrays that are always u32 and have no code.
+    """
+    offsets = section_offsets(buf)
+    pos = offsets[3]
+
+    def take(count, dtype="<u4", coded=False):
+        nonlocal pos
+        code_at = None
+        if coded:
+            code_at = pos
+            dtype = TYPE_CODES[buf[pos]]
+            pos += 1
+        pos += -pos % 8
+        start = pos
+        pos += count * np.dtype(dtype).itemsize
+        return start, np.frombuffer(buf, dtype=dtype, count=count, offset=start), code_at
+
+    (n,) = struct.unpack_from("<I", buf, pos)
+    pos += 4
+    arrays = {}
+    for name in ("kp_text_ref", "kp_lengths", "kp_search", "kp_recall"):
+        arrays[name] = take(n, coded=True)
+    pos = offsets[4]
+    (leaf_count,) = struct.unpack_from("<I", buf, pos)
+    pos += 4
+    leaves = []
+    for _ in range(leaf_count):
+        pos += -pos % 8
+        start = pos
+        leaf_id, kp_base, num_kp, rows, edges = struct.unpack_from("<qIIIQ", buf, pos)
+        pos += 28
+        leaves.append({
+            "start": start, "leaf_id": leaf_id, "kp_base_at": start + 8,
+            "token_rows": take(rows), "offsets": take(rows + 1, coded=True),
+            "edges": take(edges),
+        })
+    return arrays, leaves
+
+
+def type_code_offsets(buf) -> list[int]:
+    """Byte offsets of every type code in a model file."""
+    arrays, leaves = parse_layout(buf)
+    entries = [*arrays.values(), *(leaf["offsets"] for leaf in leaves)]
+    return [code_at for _, _, code_at in entries]
+
+
+def reseal(buf) -> bytes:
+    """Recompute the body CRC after an edit, so only the edit is wrong."""
+    body_end = section_offsets(buf)[5]
+    struct.pack_into("<I", buf, body_end, zlib.crc32(bytes(buf[HEADER_SIZE:body_end])))
+    return bytes(buf)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import graphex
-from graphex import cli, storage
+from graphex import cli, curation, evaluation, storage
 from graphex.cli import main
 from graphex.graph import UnknownLeafError
 from graphex.inference import Query, predictions_to_dicts, recommend, recommend_batch
@@ -383,7 +383,7 @@ def test_stats_prints_the_model_fingerprint(model_path, capsys):
     crc = zlib.crc32(data[56:-4])
     assert main(["stats", "--model", model_path]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == (f"model: format 3, crc 0x{crc:08x}, 5 keyphrases, "
+    assert first == (f"model: format 4, crc 0x{crc:08x}, 5 keyphrases, "
                      f"7 vocabulary tokens, {len(data)} bytes")
 
 
@@ -467,6 +467,62 @@ def test_eval_cache_hits_count_only_saved_oracle_calls(names, items, hits, tmp_p
     assert report["judging"]["pairs_judged"] == 2
     assert report["judging"]["cache_hits"] == hits
     assert set(report["head_threshold"]) == {"percentile", "value", "universe_size"}
+
+
+# Ten keyphrases of leaf 1 with search ranks 1..10 (1 = most searched),
+# all sharing a token with the title "red shoe".
+RANKED_TSV = "".join(
+    f"{text}\t1\t{rank}\t{rank}\n" for rank, text in enumerate(
+        ["red shoe", "shoe", "red", "red boot", "red hat", "red sock", "red coat",
+         "red scarf", "red glove", "red mug"], start=1)
+)
+
+
+@pytest.mark.parametrize("orientation, value, head", [
+    ("count", 9.0, "red mug"),  # ranks read as counts: rank 10 is the head
+    ("rank", 2.0, "red shoe"),  # rank 1
+])
+def test_eval_head_set_follows_the_score_orientation(orientation, value, head, tmp_path):
+    tsv, model, items = tmp_path / "kp.tsv", tmp_path / "model.gex", tmp_path / "items.tsv"
+    run, report_path = tmp_path / "run.jsonl", tmp_path / "report.json"
+    tsv.write_text(RANKED_TSV)
+    items.write_text("i1\tred shoe\t1\n")
+    assert main(["train", "--input", str(tsv), "--output", str(model),
+                 "--score-orientation", "rank"]) == 0
+    assert main(["infer", "--model", str(model), "--items", str(items), "--k", "20",
+                 "--output", str(run)]) == 0
+    predictions = json.loads(run.read_text())["predictions"]
+    assert sorted(p["search"] for p in predictions) == [float(r) for r in range(1, 11)]
+    args = ["eval", "--runs", f"ours={run}", "--oracle", "heuristic",
+            "--report", str(report_path)]
+    if orientation == "rank":
+        args += ["--score-orientation", "rank"]
+    assert main(args) == 0
+    report = json.loads(report_path.read_text())
+    assert report["head_threshold"] == {"percentile": 90.0, "value": value, "universe_size": 10}
+    # Every prediction is relevant to the heuristic, so the head count is
+    # the number of keyphrases on the head side of the threshold: one.
+    assert report["models"]["ours"]["relevant"] == 10
+    assert report["models"]["ours"]["head"] == 1
+    threshold = evaluation.HeadThreshold(
+        90.0, value, 10, curation.ScoreOrientation.from_name(orientation))
+    assert [p["keyphrase"] for p in predictions if threshold.is_head(p["search"])] == [head]
+
+
+def test_eval_rank_universe_counts_missing_keyphrases_as_tail(tmp_path):
+    paths, fixture, _ = eval_setup(tmp_path)
+    # Ranks: u10 best.  u5, u9 and u1 are predicted but not in the universe.
+    universe = tmp_path / "ranks.tsv"
+    universe.write_text("".join(f"u{i}\t{11 - i}\n" for i in (2, 3, 10)))
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--runs", f"ours={paths['ours']}", "--oracle", f"fixture:{fixture}",
+                 "--keyphrase-universe", str(universe), "--score-orientation", "rank",
+                 "--head-percentile", "50", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    # Ranks worst first: 9, 8, 1; the 50th percentile is rank 8, and of
+    # the relevant predictions u10, u5 and u9 only u10 ranks better.
+    assert report["head_threshold"]["value"] == 8.0
+    assert report["models"]["ours"]["head"] == 1
 
 
 def test_eval_duplicate_run_names_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from graphex import evaluation
+from graphex.curation import RANK_ORIENTATION
 from graphex.evaluation import (
     FixtureOracle,
     MAX_COMPLETION_BYTES,
@@ -273,6 +274,19 @@ def test_head_threshold_ninetieth_percentile_nearest_rank():
     assert threshold.value == 9.0
     assert threshold.universe_size == 10
     assert [c for _, c in pairs if threshold.is_head(c)] == [10.0]
+
+
+def test_head_threshold_under_rank_orientation_takes_the_best_ranks():
+    pairs = [(f"kp{i}", float(i)) for i in range(1, 11)]
+    threshold = head_threshold(pairs, percentile=90.0, orientation=RANK_ORIENTATION)
+    # Ranks ordered worst first: 10, 9, ..., 1; the 9th of them is rank 2.
+    assert threshold.value == 2.0
+    assert [c for _, c in pairs if threshold.is_head(c)] == [1.0]
+    # A keyphrase missing from the universe is never head, in either orientation.
+    assert not threshold.is_head(None)
+    assert not head_threshold(pairs).is_head(None)
+    with pytest.raises(ValueError):
+        head_threshold([("a", -1.0)], orientation=RANK_ORIENTATION)
 
 
 def test_head_threshold_requires_strictly_greater():

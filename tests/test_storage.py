@@ -1,17 +1,17 @@
 from __future__ import annotations
 
+import mmap
 import random
 import struct
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
 
 from graphex import storage
-from graphex.curation import COUNT_ORIENTATION, RawKeyphraseRow, curate
+from graphex.curation import COUNT_ORIENTATION, RANK_ORIENTATION, RawKeyphraseRow, curate
 from graphex.graph import LeafGraph, StringTable, build
-from graphex.inference import Query, recommend
+from graphex.inference import Alignment, Query, recommend
 from graphex.storage import (
     ChecksumError,
     MalformedModelError,
@@ -25,7 +25,15 @@ from graphex.storage import (
     to_bytes,
 )
 
-from helpers import make_dataset
+from helpers import (
+    brute_build,
+    brute_recommend,
+    make_dataset,
+    parse_layout,
+    predictions_as_tuples,
+    reseal,
+    section_offsets,
+)
 
 
 def assert_models_equal(a, b):
@@ -179,61 +187,7 @@ def test_leaf_block_nbytes_matches_serialized_growth():
 
 
 # ---------------------------------------------------------------------------
-# Format version 3 layout, read back by a parser independent of storage.py.
-
-HEADER_SIZE = 56
-
-
-def section_offsets(buf):
-    return struct.unpack_from("<6Q", buf, 8)
-
-
-def parse_layout(buf):
-    """Array views (writable over a bytearray) and leaf block spans of a file.
-
-    Returns ``(arrays, leaves)``: ``arrays`` maps keyphrase array names to
-    ``(byte offset, view)``; ``leaves`` holds one dict per leaf block with
-    its ``start``, leaf id, where its ``kp_base`` field sits and its
-    arrays as ``(byte offset, view)``.
-    """
-    offsets = section_offsets(buf)
-    pos = offsets[3]
-
-    def take(count, dtype):
-        nonlocal pos
-        pos += -pos % 8
-        start = pos
-        pos += count * np.dtype(dtype).itemsize
-        return start, np.frombuffer(buf, dtype=dtype, count=count, offset=start)
-
-    (n,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    arrays = {}
-    for name, dtype in (("kp_text_ref", "<u4"), ("kp_lengths", "<u4"),
-                        ("kp_search", "<f8"), ("kp_recall", "<f8")):
-        arrays[name] = take(n, dtype)
-    pos = offsets[4]
-    (leaf_count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    leaves = []
-    for _ in range(leaf_count):
-        pos += -pos % 8
-        start = pos
-        leaf_id, kp_base, num_kp, rows, edges = struct.unpack_from("<qIIIQ", buf, pos)
-        pos += 28
-        leaves.append({
-            "start": start, "leaf_id": leaf_id, "kp_base_at": start + 8,
-            "token_rows": take(rows, "<u4"), "offsets": take(rows + 1, "<i8"),
-            "edges": take(edges, "<u4"),
-        })
-    return arrays, leaves
-
-
-def reseal(buf) -> bytes:
-    """Recompute the body CRC after an edit, so only the edit is wrong."""
-    body_end = section_offsets(buf)[5]
-    struct.pack_into("<I", buf, body_end, zlib.crc32(bytes(buf[HEADER_SIZE:body_end])))
-    return bytes(buf)
+# The format version 4 layout, read back by the parser in helpers.py.
 
 
 def model_of(*pairs):
@@ -246,7 +200,7 @@ def test_every_loaded_array_is_aligned():
     model = build(make_dataset(rng, 200, vocab_size=45, leaf_ids=[1, 2, 3, 4, 5]))
     data = to_bytes(model)
     arrays, leaves = parse_layout(data)
-    starts = [start for start, _ in arrays.values()]
+    starts = [start for start, _, _ in arrays.values()]
     starts += [leaf[name][0] for leaf in leaves for name in ("token_rows", "offsets", "edges")]
     assert all(start % 8 == 0 for start in starts)
     assert all(leaf["start"] % 8 == 0 for leaf in leaves)
@@ -276,7 +230,7 @@ def test_leaf_block_nbytes_is_the_serialized_block_size():
 
 def test_version_1_file_is_rejected_and_names_its_version(headphones_model):
     data = bytearray(to_bytes(headphones_model))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         data[4:8] = version.to_bytes(4, "little")
         with pytest.raises(UnsupportedVersionError) as excinfo:
             from_bytes(bytes(data))
@@ -290,41 +244,41 @@ def tiny_model():
     return build(curate(rows, orientation=COUNT_ORIENTATION, meta_category="Tiny"))
 
 
-# Every byte of tiny_model() in format version 3.  A layout change that
+# Every byte of tiny_model() in format version 4.  A layout change that
 # does not bump the version fails here.
-TINY_MODEL_V3 = bytes.fromhex(
-    # header: magic, version 3, offsets of the five sections and the body end
-    "47455831 03000000 3800000000000000 4e00000000000000 6700000000000000 "
-    "8900000000000000 e000000000000000 8001000000000000 "
+TINY_MODEL_V4 = bytes.fromhex(
+    # header: magic, version 4, offsets of the five sections and the body end
+    "47455831 04000000 3800000000000000 4e00000000000000 6700000000000000 "
+    "8900000000000000 c000000000000000 5001000000000000 "
     # meta: label length and UTF-8, orientation flags, keyphrase count, leaf count
     "04000000 54696e79 01 01 0300000000000000 02000000 "
     # vocabulary: entry count, byte length, blob
     "03000000 0d00000000000000 6861740a7265640a73686f650a "
     # string table: entry count, byte length, blob
     "03000000 1600000000000000 726564206861740a7265642073686f650a73686f650a "
-    # keyphrases: count, pad; text refs, pad; lengths, pad; search; recall
-    "03000000 000000 010000000200000000000000 00000000 020000000100000002000000 00000000 "
-    "0000000000003e4000000000000024400000000000003440 "
-    "0000000000000040000000000000f03f0000000000000840 "
+    # keyphrases: count; each array a type code, pad and values; pad.  Text refs
+    # and lengths are u8 (code 1), search and recall scores f32 (code 5).
+    "03000000 01 0000 010200 01 00000000 020102 05 00000000 "
+    "0000f041 00002041 0000a041 05 000000 00000040 0000803f 00004040 00000000 "
     # leaves: count, pad
     "02000000 00000000 "
     # leaf 1: id, kp base, keyphrase count, row count, edge count, pad
     "0100000000000000 00000000 02000000 02000000 0300000000000000 00000000 "
-    # token rows; row offsets; edges, pad
-    "0100000002000000 000000000000000001000000000000000300000000000000 "
+    # token rows; row offsets as u8 (code 1, pad, values, pad); edges, pad
+    "0100000002000000 01 00000000000000 000103 0000000000 "
     "000000000000000001000000 00000000 "
     # leaf 2: id, kp base, keyphrase count, row count, edge count, pad
     "0200000000000000 02000000 01000000 02000000 0200000000000000 00000000 "
-    # token rows; row offsets; edges
-    "0000000001000000 000000000000000001000000000000000200000000000000 0200000002000000 "
+    # token rows; row offsets as u8; edges
+    "0000000001000000 01 00000000000000 000102 0000000000 0200000002000000 "
     # CRC-32 of the body
-    "404d61f2"
+    "8c5b7f9f"
 )
 
 
 def test_tiny_model_file_is_pinned_byte_for_byte():
-    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V3.hex()
-    loaded = from_bytes(TINY_MODEL_V3)
+    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V4.hex()
+    loaded = from_bytes(TINY_MODEL_V4)
     assert_models_equal(tiny_model(), loaded)
     predictions = recommend(loaded, Query("red shoe", 1))
     assert [(p.keyphrase, p.align, p.search) for p in predictions] == [
@@ -424,6 +378,16 @@ def edit_array(name, index, value):
     return edit
 
 
+def edit_type_code(name, code):
+    """Set the type code of keyphrase array ``name``, or of leaf 1's offsets."""
+    def edit(buf):
+        arrays, leaves = parse_layout(buf)
+        entry = leaves[0]["offsets"] if name == "offsets" else arrays[name]
+        buf[entry[2]] = code
+        return buf
+    return edit
+
+
 def edit_text(old: bytes, new: bytes):
     def edit(buf):
         at = bytes(buf).index(old)
@@ -501,6 +465,17 @@ MALFORMED = {
         [("aa bb", 1), ("cc dd", 1)], edit_array("kp_search", 0, -np.inf), "not finite"),
     "recall score is infinite": (
         [("aa bb", 1), ("cc dd", 1)], edit_array("kp_recall", 1, np.inf), "not finite"),
+    # Codes 1-4 are u8-u64 and 5-6 are f32-f64; 0 is zero padding.
+    "unknown type code": (
+        [("aa bb", 1)], edit_type_code("kp_lengths", 7), "keyphrase lengths: type code 7"),
+    "zero type code": (
+        [("aa bb", 1)], edit_type_code("kp_text_ref", 0), "text references: type code 0"),
+    "float row offsets": (
+        [("aa bb", 1)], edit_type_code("offsets", 5), "leaf 1 offsets: type code 5"),
+    "integer search scores": (
+        [("aa bb", 1)], edit_type_code("kp_search", 3), "search scores: type code 3"),
+    "integer recall scores": (
+        [("aa bb", 1)], edit_type_code("kp_recall", 1), "recall scores: type code 1"),
 }
 
 
@@ -510,3 +485,108 @@ def test_malformed_body_with_valid_checksum_fails_at_load(case):
     data = reseal(edit(bytearray(to_bytes(model_of(*pairs)))))
     with pytest.raises(MalformedModelError, match=message):
         from_bytes(data)
+
+
+# ---------------------------------------------------------------------------
+# Each array is stored in the narrowest type that holds its values.
+
+def wide_rows(n_keyphrases: int, length: int) -> list[RawKeyphraseRow]:
+    """``n_keyphrases`` keyphrases of ``length`` distinct tokens in leaf 1.
+
+    Keyphrase ``i`` holds tokens ``t{i}`` to ``t{i + length - 1}``, so the
+    leaf has exactly ``n_keyphrases * length`` edges.
+    """
+    return [
+        RawKeyphraseRow(" ".join(f"t{i + j}" for j in range(length)), 1, float(i), 1.0)
+        for i in range(n_keyphrases)
+    ]
+
+
+def assert_stored_and_answered_like_brute(dataset, titles):
+    """Built, loaded and reference models write one file and answer alike."""
+    model = build(dataset)
+    data = to_bytes(model)
+    loaded = from_bytes(data)
+    assert_models_equal(model, loaded)
+    assert to_bytes(loaded) == data
+    assert to_bytes(brute_build(dataset)) == data
+    for leaf in dataset.leaves:
+        for title in titles:
+            for align in Alignment:
+                for k in (1, 10):
+                    got = recommend(loaded, Query(title, leaf, k), align=align)
+                    assert predictions_as_tuples(got) == brute_recommend(
+                        dataset, leaf, title, k, align=align.value), (title, align, k)
+    return model, loaded
+
+
+@pytest.mark.parametrize("n_keyphrases, length, offsets_type, lengths_type", [
+    (255, 1, np.uint8, np.uint8),      # largest offset 255
+    (256, 1, np.uint16, np.uint8),     # 256
+    (255, 257, np.uint16, np.uint16),  # 65,535
+    (256, 256, np.uint32, np.uint16),  # 65,536
+    (1, 255, np.uint8, np.uint8),      # keyphrase length 255
+    (1, 256, np.uint16, np.uint16),    # 256
+])
+def test_offsets_and_lengths_take_the_narrowest_unsigned_type(
+        n_keyphrases, length, offsets_type, lengths_type):
+    dataset = curate(wide_rows(n_keyphrases, length), orientation=COUNT_ORIENTATION)
+    titles = ["t0 t1 t2", f"t{n_keyphrases - 1} t{n_keyphrases} t{length} zz", "t3"]
+    model, loaded = assert_stored_and_answered_like_brute(dataset, titles)
+    assert int(model.leaf(1).offsets[-1]) == n_keyphrases * length
+    for candidate in (model, loaded):
+        assert candidate.leaf(1).offsets.dtype == offsets_type
+        assert candidate.kp_lengths.dtype == lengths_type
+        assert candidate.kp_text_ref.dtype == (np.uint8 if n_keyphrases <= 256 else np.uint16)
+        assert candidate.leaf(1).token_rows.dtype == candidate.leaf(1).edges.dtype == np.uint32
+    assert leaf_block_nbytes(model.leaf(1)) == leaf_block_nbytes(brute_build(dataset).leaf(1))
+
+
+@pytest.mark.parametrize("orientation, search, recall, search_type, recall_type", [
+    (COUNT_ORIENTATION, [3.0, 7.0, 1e6], [0.0, 2.0, 5.0], np.float32, np.float32),
+    # Rank 0 is canonical -0.0, whose sign float32 keeps.
+    (RANK_ORIENTATION, [0.0, 1.0, 2.0], [2.0, 0.0, 1.0], np.float32, np.float32),
+    (COUNT_ORIENTATION, [0.1, 7.0, 1.0], [0.0, 2.0, 5.0], np.float64, np.float32),
+    # 2**24 + 1, the least positive integer float32 rounds.
+    (COUNT_ORIENTATION, [3.0, 16_777_217.0, 1.0], [1.0, 16_777_216.0, 5.0],
+     np.float64, np.float32),
+    # Beyond float32's range, with no overflow warning.
+    (COUNT_ORIENTATION, [3.0, 7.0, 1.0], [1e300, 2.0, 5.0], np.float32, np.float64),
+], ids=["integers", "rank -0.0", "0.1", "2**24 + 1", "1e300"])
+def test_scores_are_float32_only_when_every_value_is_exact(
+        orientation, search, recall, search_type, recall_type):
+    texts = ["red shoe", "red hat", "shoe"]
+    rows = [RawKeyphraseRow(text, 1, s, r) for text, s, r in zip(texts, search, recall)]
+    dataset = curate(rows, orientation=orientation)
+    model, loaded = assert_stored_and_answered_like_brute(dataset, ["red shoe", "hat", "red"])
+    for candidate in (model, loaded):
+        assert candidate.kp_search.dtype == search_type
+        assert candidate.kp_recall.dtype == recall_type
+        raw = sorted(zip(texts, search))
+        expected = [orientation.canonical_search(value) for _, value in raw]
+        assert np.array_equal(candidate.kp_search.astype(np.float64).view(np.uint64),
+                              np.array(expected).view(np.uint64))
+
+
+def test_model_loads_from_a_read_only_map(tmp_path, monkeypatch):
+    dataset = make_dataset(random.Random(59), 300, 60, [1, 2, 3])
+    path = tmp_path / "model.gex"
+    save(build(dataset), str(path))
+    from_file = from_bytes(path.read_bytes())
+    # Small chunks make the reader find newlines across many chunks.
+    monkeypatch.setattr(storage, "_DECODE_CHUNK", 7)
+    with open(path, "rb") as handle:
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        model = from_bytes(mapped)
+        assert_models_equal(model, from_file)
+        rng = random.Random(61)
+        for _ in range(200):
+            title = " ".join(f"w{rng.randrange(70)}" for _ in range(rng.randint(1, 6)))
+            query = Query(title, rng.choice([1, 2, 3]), rng.randint(1, 12))
+            for align in Alignment:
+                assert recommend(model, query, align) == recommend(from_file, query, align)
+    finally:
+        # The model's arrays view the map, which cannot close while they live.
+        model = None
+        mapped.close()
