@@ -259,11 +259,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.keyphrase_universe:
         search_counts = _load_universe(_require_file(args.keyphrase_universe))
     else:
-        # Each keyphrase's best search score across the runs.
+        # Each keyphrase's best search score across the runs; a prediction
+        # without one adds nothing.
         search_counts = {}
         for run in runs:
             for item in run.items:
                 for pred in item.predictions:
+                    if pred.search is None:
+                        continue
                     current = search_counts.get(pred.keyphrase)
                     if current is None or canonical(pred.search) > canonical(current):
                         search_counts[pred.keyphrase] = pred.search
@@ -425,10 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except storage.ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (storage.ModelFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

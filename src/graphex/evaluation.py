@@ -219,8 +219,10 @@ class JudgeError:
 
 @dataclass(frozen=True)
 class RunPrediction:
+    """A predicted keyphrase and its search score; None when the run gives none."""
+
     keyphrase: str
-    search: float
+    search: float | None
 
 
 @dataclass
@@ -261,7 +263,8 @@ class ModelRun:
                 row = json.loads(line)
                 item_id = str(row["item_id"])
                 predictions = [
-                    RunPrediction(str(p["keyphrase"]), float(p.get("search", 0.0)))
+                    RunPrediction(str(p["keyphrase"]),
+                                  None if p.get("search") is None else float(p["search"]))
                     for p in row.get("predictions", [])
                 ]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -205,7 +205,8 @@ class Model:
 
     Keyphrase ``i`` has text ``kp_texts[kp_text_ref[i]]``, ``kp_lengths[i]``
     unique tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``;
-    its tokens are the rows whose adjacency holds ``i`` in its leaf graph.
+    its tokens are the rows whose adjacency holds ``i`` in its leaf graph,
+    so its length is its edge count (:func:`keyphrase_lengths`).
     Each of these four arrays has the narrowest type that holds its
     values exactly (:func:`narrowest`): an unsigned integer type for the
     references and lengths, float32 or float64 for the scores.
@@ -254,6 +255,34 @@ class Model:
         return self.kp_texts[int(self.kp_text_ref[kp_id])]
 
 
+# Edges counted per bincount call: bincount widens its input to intp, so
+# counting a whole big leaf at once would cost 8 bytes per edge.
+_COUNT_CHUNK = 1 << 16
+
+
+def keyphrase_lengths(leaf_graphs: Iterable[LeafGraph], num_keyphrases: int) -> np.ndarray:
+    """Each keyphrase's token count, its number of edges, in the narrowest type.
+
+    A keyphrase has one edge per distinct token, so an overlap count,
+    which counts some of its edges, never exceeds its length.  Every
+    edge must lie in its leaf's keyphrase range, and every range in
+    ``[0, num_keyphrases)``.  The result starts as uint8 and widens only
+    when a leaf's counts need it, so no array of all keyphrases is wider
+    than the result.
+    """
+    lengths = np.zeros(num_keyphrases, dtype=np.uint8)
+    for graph in leaf_graphs:
+        base, count, edges = graph.kp_base, graph.num_keyphrases, graph.edges
+        counts = np.zeros(count, dtype=np.intp)
+        for start in range(0, len(edges), _COUNT_CHUNK):
+            counts += np.bincount(edges[start:start + _COUNT_CHUNK] - np.uint32(base),
+                                  minlength=count)
+        counts = narrowest(counts)
+        lengths = lengths.astype(np.promote_types(lengths.dtype, counts.dtype), copy=False)
+        lengths[base:base + count] = counts
+    return lengths
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one before."""
     first = np.empty(len(values), dtype=bool)
@@ -297,7 +326,6 @@ def build(dataset: CuratedDataset) -> Model:
     # operands stay uint64; numpy mixes uint64 and int64 into float.
     keys = token_ids << np.uint64(32) | kp_ids
 
-    kp_lengths = np.zeros(len(keyphrases), dtype=np.uint32)
     leaf_graphs: dict[int, LeafGraph] = {}
     kp_base = 0
     for leaf_id, group in zip(leaf_ids, groups):
@@ -309,7 +337,6 @@ def build(dataset: CuratedDataset) -> Model:
         edges = leaf_keys.astype(np.uint32)  # the low 32 bits: keyphrase ids
         edge_tokens = (leaf_keys >> np.uint64(32)).astype(np.uint32)
         starts = np.flatnonzero(_run_starts(edge_tokens))
-        kp_lengths[kp_base:kp_end] = np.bincount(edges - np.uint32(kp_base), minlength=len(group))
         leaf_graphs[leaf_id] = LeafGraph(
             leaf_category=leaf_id,
             token_rows=edge_tokens[starts],
@@ -328,7 +355,7 @@ def build(dataset: CuratedDataset) -> Model:
         kp_texts=StringTable(unique_texts),
         kp_text_ref=narrowest(
             np.fromiter(map(text_index.__getitem__, texts), np.uint32, len(texts))),
-        kp_lengths=narrowest(kp_lengths),
+        kp_lengths=keyphrase_lengths(leaf_graphs.values(), len(keyphrases)),
         kp_search=narrowest(orientation.canonical_search(
             np.array([kp.search_score for kp in keyphrases], dtype=np.float64))),
         kp_recall=narrowest(orientation.canonical_recall(

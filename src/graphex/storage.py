@@ -2,16 +2,32 @@
 
 Layout (all integers little-endian):
 
-* header: magic ``GEX1``, u32 format version, six u64 section offsets
-  (meta, vocabulary, string table, keyphrase table, leaf graphs, body
-  end).
-* body: the five sections, written back to back in that order.
+* header: magic ``GEX1``, u32 format version, u64 body end (the file
+  offset of the checksum).
+* body, its sections back to back in this order:
+
+  - meta: the category label, a u32-length-prefixed UTF-8 string, and
+    two u8 orientation flags;
+  - the vocabulary, then the keyphrase string table;
+  - the keyphrase table: a u32 count, text references, search scores
+    and recall scores;
+  - the leaf graphs: a u32 count, then one block per leaf in ascending
+    leaf id order: i64 leaf id, u32 keyphrase count, u32 row count,
+    token rows, row offsets and edges.
+
 * footer: u32 CRC-32 of the body bytes.
 
+The file stores each fact once; the reader derives the rest.  Each
+section starts where the one before it ends.  A leaf's first keyphrase
+id (``kp_base``) is the sum of the keyphrase counts of the leaves
+before it, its edge count is its last row offset, and a keyphrase's
+token count is its edge count (:func:`~graphex.graph.keyphrase_lengths`).
+The body end is kept so that a cut file reads as
+:class:`TruncatedModelError`, not as a checksum mismatch.
+
 The vocabulary and the keyphrase string table are each a u32 entry
-count, a u64 byte length and one UTF-8 blob with ``\n`` after every entry;
-the meta category label is a u32-length-prefixed UTF-8 string.  The
-string table's blob is the one a :class:`~graphex.graph.StringTable`
+count, a u64 byte length and one UTF-8 blob with ``\n`` after every entry.
+The string table's blob is the one a :class:`~graphex.graph.StringTable`
 holds: the writer copies it as it is, and the reader returns a table
 over the file bytes, so keyphrase texts are decoded per prediction,
 never all at load.  Numeric arrays are written as raw little-endian
@@ -22,22 +38,27 @@ padding out from the offset alone, and the arrays it returns are
 aligned.  Serialization is deterministic: the same
 model always produces the same bytes.
 
-The keyphrase table (text references, lengths, search and recall
-scores) and each leaf's row offsets are stored in the narrowest type
-that holds their values exactly (:func:`~graphex.graph.narrowest`).  A
-one-byte type code comes before each of these arrays, ahead of its
-padding: 1, 2, 3 and 4 are u8, u16, u32 and u64, allowed for the
-references, lengths and offsets; 5 and 6 are f32 and f64, allowed for
-the scores.  A leaf's token rows and edges are always u32 and have no
-code: they hold global token and keyphrase ids, and a query searches the
-token rows with a u32 needle and sorts gathered edges as u32.
+The keyphrase table (text references, search and recall scores) and
+each leaf's row offsets are stored in the narrowest type that holds
+their values exactly (:func:`~graphex.graph.narrowest`).  A one-byte
+type code comes before each of these arrays, ahead of its padding: 1,
+2, 3 and 4 are u8, u16, u32 and u64, allowed for the references and
+offsets; 5 and 6 are f32 and f64, allowed for the scores.  A leaf's
+token rows and edges are always u32 and have no code: they hold global
+token and keyphrase ids, and a query searches the token rows with a u32
+needle and sorts gathered edges as u32.
 
-Loading checks the header, the checksum and then the structure, so that
-a file whose checksum matches but whose contents are inconsistent, or
-whose type code is unknown or not allowed for its array, fails here with
-:class:`MalformedModelError` instead of misranking or raising at query
-time.  Only the current format version (4) is read; older files are
-rebuilt with ``graphex train``.
+Loading checks the header and the checksum, then each stored value a
+query relies on: leaf ids ascend; the leaves hold exactly the keyphrase
+table's entries; padding is zero, and the last leaf block ends at the
+body end; token rows ascend inside the vocabulary; row offsets rise
+from 0; edges stay in their leaf's keyphrase range; text references
+fall inside the string table; scores are finite; type codes are known
+and allowed for their arrays; text tables are UTF-8 and hold their
+stated entry counts.  A file whose checksum matches but which breaks one
+of these fails here with :class:`MalformedModelError` instead of
+misranking or raising at query time.  Only the current format version
+(5) is read; older files are rebuilt with ``graphex train``.
 """
 
 from __future__ import annotations
@@ -49,17 +70,16 @@ import zlib
 import numpy as np
 
 from .curation import ScoreOrientation
-from .graph import LeafGraph, Model, StringTable, narrowest, starts_dtype
+from .graph import LeafGraph, Model, StringTable, keyphrase_lengths, narrowest, starts_dtype
 from .vocab import Vocabulary
 
 MAGIC = b"GEX1"
-FORMAT_VERSION = 4
-_HEADER = struct.Struct("<4sI6Q")
+FORMAT_VERSION = 5
+_HEADER = struct.Struct("<4sIQ")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
-_LEAF_HEADER_NBYTES = 8 + 4 + 4 + 4 + 8
 _ALIGN = 8
 # Type codes, the byte written before each array whose stored type
 # follows its values (graph.narrowest).  Code 0 is no type, so zero
@@ -107,10 +127,6 @@ def _require(ok, message: str) -> None:
         raise MalformedModelError(message)
 
 
-def _padded(nbytes: int) -> int:
-    return nbytes + -nbytes % _ALIGN
-
-
 class _Writer:
     """Appends fields to a buffer that starts at file offset 0."""
 
@@ -155,34 +171,35 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes | mmap.mmap, pos: int) -> None:
+    """Reads fields in order from ``pos``, never past ``end``."""
+
+    def __init__(self, data: bytes | mmap.mmap, pos: int, end: int) -> None:
         self.data = data
         self.pos = pos
+        self.end = end
 
-    def _take(self, n: int) -> int:
+    def take(self, n: int) -> int:
         start = self.pos
-        if start + n > len(self.data):
-            raise TruncatedModelError(
-                f"file ends at byte {len(self.data)}, needed {start + n}"
-            )
+        if start + n > self.end:
+            raise TruncatedModelError(f"body ends at byte {self.end}, needed {start + n}")
         self.pos = start + n
         return start
 
     def u8(self) -> int:
-        return self.data[self._take(1)]
+        return self.data[self.take(1)]
 
     def u32(self) -> int:
-        return _U32.unpack_from(self.data, self._take(4))[0]
+        return _U32.unpack_from(self.data, self.take(4))[0]
 
     def u64(self) -> int:
-        return _U64.unpack_from(self.data, self._take(8))[0]
+        return _U64.unpack_from(self.data, self.take(8))[0]
 
     def i64(self) -> int:
-        return _I64.unpack_from(self.data, self._take(8))[0]
+        return _I64.unpack_from(self.data, self.take(8))[0]
 
     def string(self) -> str:
         length = self.u32()
-        start = self._take(length)
+        start = self.take(length)
         try:
             return self.data[start:start + length].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -196,7 +213,7 @@ class _Reader:
         the table.
         """
         nbytes = self.u64()
-        start = self._take(nbytes)
+        start = self.take(nbytes)
         end = start + nbytes
         data = self.data
         _require(not nbytes or data[end - 1] == 0x0A, f"{what} does not end in a newline")
@@ -228,12 +245,13 @@ class _Reader:
         return StringTable.from_buffer(data, starts)
 
     def align(self) -> None:
-        self._take(-self.pos % _ALIGN)
+        start = self.take(-self.pos % _ALIGN)
+        _require(not any(self.data[start:self.pos]), f"nonzero padding at byte {start}")
 
     def array(self, count: int, dtype: str) -> np.ndarray:
         self.align()
         itemsize = np.dtype(dtype).itemsize
-        start = self._take(count * itemsize)
+        start = self.take(count * itemsize)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def narrow_array(self, count: int, types: dict[int, str], what: str) -> np.ndarray:
@@ -243,46 +261,13 @@ class _Reader:
         return self.array(count, types[code])
 
 
-def _write_meta(w: _Writer, model: Model) -> None:
-    w.string(model.meta_category)
-    w.u8(int(model.orientation.search_higher_better))
-    w.u8(int(model.orientation.recall_lower_better))
-    w.u64(model.num_keyphrases)
-    w.u32(len(model.leaf_graphs))
-
-def _write_vocab(w: _Writer, model: Model) -> None:
-    w.text_table(StringTable(model.vocabulary.surfaces()))
-
-def _write_strings(w: _Writer, model: Model) -> None:
-    w.text_table(model.kp_texts)
-
-def _write_keyphrases(w: _Writer, model: Model) -> None:
-    w.u32(model.num_keyphrases)
-    w.narrow_array(model.kp_text_ref)
-    w.narrow_array(model.kp_lengths)
-    w.narrow_array(model.kp_search)
-    w.narrow_array(model.kp_recall)
-    # f32 scores can end off an 8-byte boundary; the leaf section starts on one.
-    w.align()
-
 def _write_leaf_block(w: _Writer, graph: LeafGraph) -> None:
     w.i64(graph.leaf_category)
-    w.u32(graph.kp_base)
     w.u32(graph.num_keyphrases)
     w.u32(_check_u32(graph.num_tokens, "leaf token count"))
-    w.u64(graph.num_edges)
     w.array(graph.token_rows, "<u4")
     w.narrow_array(graph.offsets)
     w.array(graph.edges, "<u4")
-
-def _write_leaves(w: _Writer, model: Model) -> None:
-    # Each leaf block starts on an 8-byte boundary, and so does the body
-    # end, so a block's size does not depend on where it lands.
-    w.u32(len(model.leaf_graphs))
-    for leaf_id in sorted(model.leaf_graphs):
-        w.align()
-        _write_leaf_block(w, model.leaf_graphs[leaf_id])
-    w.align()
 
 
 def leaf_block_nbytes(graph: LeafGraph) -> int:
@@ -290,33 +275,56 @@ def leaf_block_nbytes(graph: LeafGraph) -> int:
 
     Includes the offsets' type code and the zero padding before each
     array and after the block, so the sizes of all blocks add up to the
-    leaf section minus its 8-byte header (the leaf count and its padding).
-    The offsets count in the type they are written in, whatever type
+    leaf section minus its leaf count and the padding after it.  The
+    offsets count in the type they are written in, whatever type
     ``graph`` holds them in.
     """
-    rows = graph.num_tokens
-    return (
-        _padded(_LEAF_HEADER_NBYTES)
-        + _padded(4 * rows + 1)
-        + _padded(narrowest(graph.offsets).itemsize * (rows + 1))
-        + _padded(4 * graph.num_edges)
-    )
+    # Blocks start on an 8-byte boundary, as a fresh buffer does.
+    w = _Writer()
+    _write_leaf_block(w, graph)
+    w.align()
+    return len(w.buf)
 
 
 def to_bytes(model: Model) -> bytes:
-    """Serialize ``model`` to the binary format (deterministic)."""
-    _check_u32(model.num_keyphrases, "keyphrase count")
+    """Serialize ``model`` to the binary format (deterministic).
+
+    Raises ``ValueError`` when a leaf's ``kp_base`` is not the number of
+    keyphrases in the leaves before it, or ``kp_lengths`` are not the
+    keyphrases' edge counts: the file stores neither, and the reader
+    derives them so.
+    """
     _check_u32(len(model.vocabulary), "vocabulary size")
     w = _Writer()
-    w.buf += bytes(_HEADER.size)  # filled in once the section offsets are known
-    offsets = []
-    for write in (_write_meta, _write_vocab, _write_strings, _write_keyphrases, _write_leaves):
-        offsets.append(len(w.buf))
-        write(w, model)
-    offsets.append(len(w.buf))  # body end == checksum offset
-    w.buf[:_HEADER.size] = _HEADER.pack(MAGIC, FORMAT_VERSION, *offsets)
-    crc = zlib.crc32(memoryview(w.buf)[_HEADER.size:])
-    w.buf += _U32.pack(crc)
+    w.buf += bytes(_HEADER.size)  # filled in once the body end is known
+    w.string(model.meta_category)
+    w.u8(int(model.orientation.search_higher_better))
+    w.u8(int(model.orientation.recall_lower_better))
+    w.text_table(StringTable(model.vocabulary.surfaces()))
+    w.text_table(model.kp_texts)
+    w.u32(_check_u32(model.num_keyphrases, "keyphrase count"))
+    w.narrow_array(model.kp_text_ref)
+    w.narrow_array(model.kp_search)
+    w.narrow_array(model.kp_recall)
+    w.u32(len(model.leaf_graphs))
+    kp_base = 0
+    for leaf_id in sorted(model.leaf_graphs):
+        graph = model.leaf_graphs[leaf_id]
+        if graph.kp_base != kp_base:
+            raise ValueError(f"leaf {leaf_id}: kp_base is {graph.kp_base}, but the leaves "
+                             f"before it hold {kp_base} keyphrases")
+        kp_base += graph.num_keyphrases
+        # Each block starts on an 8-byte boundary, and so does the body
+        # end, so a block's size does not depend on where it lands.
+        w.align()
+        _write_leaf_block(w, graph)
+    if not np.array_equal(model.kp_lengths,
+                          keyphrase_lengths(model.leaf_graphs.values(), model.num_keyphrases)):
+        raise ValueError("kp_lengths are not the keyphrases' edge counts")
+    w.align()
+    body_end = len(w.buf)
+    w.buf[:_HEADER.size] = _HEADER.pack(MAGIC, FORMAT_VERSION, body_end)
+    w.buf += _U32.pack(zlib.crc32(memoryview(w.buf)[_HEADER.size:]))
     return bytes(w.buf)
 
 
@@ -338,48 +346,12 @@ def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
         f"{leaf}: token rows must be strictly ascending vocabulary ids",
     )
     _require(
-        offsets[0] == 0 and offsets[-1] == len(edges)
-        and bool(np.all(offsets[1:] >= offsets[:-1])),
-        f"{leaf}: row offsets must rise from 0 to the edge count",
+        offsets[0] == 0 and bool(np.all(offsets[1:] >= offsets[:-1])),
+        f"{leaf}: row offsets must rise from 0",
     )
     _require(
         not len(edges) or (edges.min() >= base and edges.max() < base + count),
         f"{leaf}: edge outside the leaf's keyphrase range [{base}, {base + count})",
-    )
-
-
-# Edges counted per bincount call: bincount widens its input to intp, so
-# counting a whole big leaf at once would cost 8 bytes per edge.
-_COUNT_CHUNK = 1 << 16
-
-
-def _check_edge_counts(graph: LeafGraph, kp_lengths: np.ndarray) -> None:
-    """Each keyphrase has one edge per token, so overlaps never exceed lengths.
-
-    Runs after the range checks, which keep every edge inside the leaf's
-    keyphrase range and that range inside the keyphrase table.
-    """
-    base, count, edges = graph.kp_base, graph.num_keyphrases, graph.edges
-    counts = np.zeros(count, dtype=np.intp)
-    for start in range(0, len(edges), _COUNT_CHUNK):
-        counts += np.bincount(edges[start:start + _COUNT_CHUNK] - np.uint32(base),
-                              minlength=count)
-    _require(
-        np.array_equal(counts, kp_lengths[base:base + count]),
-        f"leaf {graph.leaf_category}: a keyphrase's edge count differs from its token count",
-    )
-
-
-def _check_leaf_ranges(graphs: list[LeafGraph], num_keyphrases: int) -> None:
-    bases = np.array([g.kp_base for g in graphs], dtype=np.int64)
-    counts = np.array([g.num_keyphrases for g in graphs], dtype=np.int64)
-    order = np.lexsort((counts, bases))
-    # Sorted by start, the ranges tile [0, num_keyphrases) exactly when
-    # each one starts where the previous one ends.
-    bounds = np.concatenate(([0], (bases + counts)[order]))
-    _require(
-        np.array_equal(bases[order], bounds[:-1]) and bounds[-1] == num_keyphrases,
-        "leaf keyphrase ranges overlap or do not cover all keyphrases",
     )
 
 
@@ -401,10 +373,7 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
         )
     if len(data) < _HEADER.size:
         raise TruncatedModelError("file too short to hold a model header")
-    _, _, *offsets = _HEADER.unpack_from(data, 0)
-    body_end = offsets[5]
-    if offsets[0] != _HEADER.size or any(a > b for a, b in zip(offsets, offsets[1:])):
-        raise TruncatedModelError("section offsets out of order")
+    body_end = _HEADER.unpack_from(data, 0)[-1]
     if body_end + 4 > len(data):
         raise TruncatedModelError(
             f"file ends at byte {len(data)}, needed {body_end + 4}"
@@ -420,33 +389,26 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
             f"body checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    meta = _Reader(data, offsets[0])
-    meta_category = meta.string()
+    r = _Reader(data, _HEADER.size, body_end)
+    meta_category = r.string()
     orientation = ScoreOrientation(
-        search_higher_better=bool(meta.u8()),
-        recall_lower_better=bool(meta.u8()),
+        search_higher_better=bool(r.u8()),
+        recall_lower_better=bool(r.u8()),
     )
-    num_keyphrases = meta.u64()
-    num_leaves = meta.u32()
+    # The text tables are skipped here and decoded last, so the structure
+    # checks' temporaries are freed before the vocabulary's Python
+    # strings are made.
+    num_tokens = r.u32()
+    vocab_at = r.pos
+    r.take(r.u64())
+    num_strings = r.u32()
+    strings_at = r.pos
+    r.take(r.u64())
 
-    # The structure is checked from the counts alone, before the text
-    # tables are read, so the checks' temporaries are freed before the
-    # vocabulary's Python strings are made.
-    vocab_reader = _Reader(data, offsets[1])
-    num_tokens = vocab_reader.u32()
-    strings_reader = _Reader(data, offsets[2])
-    num_strings = strings_reader.u32()
-
-    kp = _Reader(data, offsets[3])
-    n = kp.u32()
-    if n != num_keyphrases:
-        raise TruncatedModelError(
-            f"keyphrase table holds {n} entries, meta section says {num_keyphrases}"
-        )
-    kp_text_ref = kp.narrow_array(n, _INDEX_TYPES, "keyphrase text references")
-    kp_lengths = kp.narrow_array(n, _INDEX_TYPES, "keyphrase lengths")
-    kp_search = kp.narrow_array(n, _SCORE_TYPES, "keyphrase search scores")
-    kp_recall = kp.narrow_array(n, _SCORE_TYPES, "keyphrase recall scores")
+    n = r.u32()
+    kp_text_ref = r.narrow_array(n, _INDEX_TYPES, "keyphrase text references")
+    kp_search = r.narrow_array(n, _SCORE_TYPES, "keyphrase search scores")
+    kp_recall = r.narrow_array(n, _SCORE_TYPES, "keyphrase recall scores")
     _require(
         not n or kp_text_ref.max() < num_strings,
         f"keyphrase text reference outside the {num_strings}-entry string table",
@@ -456,40 +418,43 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
         "keyphrase search or recall score is not finite",
     )
 
-    leaves_reader = _Reader(data, offsets[4])
-    leaf_count = leaves_reader.u32()
-    if leaf_count != num_leaves:
-        raise TruncatedModelError(
-            f"leaf section holds {leaf_count} graphs, meta section says {num_leaves}"
-        )
     leaf_graphs: dict[int, LeafGraph] = {}
-    for _ in range(leaf_count):
-        leaves_reader.align()
-        leaf_id = leaves_reader.i64()
-        kp_base = leaves_reader.u32()
-        num_kp = leaves_reader.u32()
-        rows = leaves_reader.u32()
-        edges = leaves_reader.u64()
+    kp_base = 0
+    previous = None
+    for _ in range(r.u32()):
+        r.align()
+        leaf_id = r.i64()
+        _require(previous is None or leaf_id > previous,
+                 f"leaf ids must be strictly ascending: leaf {leaf_id} follows leaf {previous}")
+        num_kp = r.u32()
+        rows = r.u32()
+        token_rows = r.array(rows, "<u4")
+        offsets = r.narrow_array(rows + 1, _INDEX_TYPES, f"leaf {leaf_id} offsets")
         graph = LeafGraph(
             leaf_category=leaf_id,
-            token_rows=leaves_reader.array(rows, "<u4"),
-            offsets=leaves_reader.narrow_array(rows + 1, _INDEX_TYPES, f"leaf {leaf_id} offsets"),
-            edges=leaves_reader.array(edges, "<u4"),
+            token_rows=token_rows,
+            offsets=offsets,
+            edges=r.array(int(offsets[-1]), "<u4"),
             kp_base=kp_base,
             num_keyphrases=num_kp,
         )
-        _require(leaf_id not in leaf_graphs, f"leaf {leaf_id} appears twice")
         _check_leaf(graph, num_tokens)
         leaf_graphs[leaf_id] = graph
-    _check_leaf_ranges(list(leaf_graphs.values()), num_keyphrases)
-    for graph in leaf_graphs.values():
-        _check_edge_counts(graph, kp_lengths)
+        kp_base += num_kp
+        previous = leaf_id
+    # Bases are a running sum, so a total of n keeps every leaf's
+    # keyphrases inside the table.
+    _require(kp_base == n, f"the leaves hold {kp_base} of the {n} keyphrases")
+    r.align()
+    _require(r.pos == body_end, f"{body_end - r.pos} unread bytes before the checksum")
+    kp_lengths = keyphrase_lengths(leaf_graphs.values(), n)
 
     try:
-        vocabulary = Vocabulary(vocab_reader.text_table(num_tokens, "vocabulary"))
+        vocabulary = Vocabulary(
+            _Reader(data, vocab_at, body_end).text_table(num_tokens, "vocabulary"))
     except ValueError as exc:
         raise MalformedModelError(f"vocabulary: {exc}") from None
-    kp_texts = strings_reader.text_table(num_strings, "keyphrase string table")
+    kp_texts = _Reader(data, strings_at, body_end).text_table(num_strings, "keyphrase string table")
 
     return Model(
         meta_category=meta_category,

@@ -289,29 +289,17 @@ def make_title(rng: random.Random, vocab_size: int, length: int, unknown_rate: f
 
 
 # ---------------------------------------------------------------------------
-# Format version 4 layout, read back by a parser independent of storage.py.
+# Format version 5 layout, read back by a parser independent of storage.py.
 
-HEADER_SIZE = 56
+HEADER_SIZE = 16
 # The type code before each array stored in the narrowest type that holds
 # its values.
 TYPE_CODES = {1: "<u1", 2: "<u2", 3: "<u4", 4: "<u8", 5: "<f4", 6: "<f8"}
 
 
-def section_offsets(buf):
-    return struct.unpack_from("<6Q", buf, 8)
-
-
-def parse_layout(buf):
-    """Array views (writable over a bytearray) and leaf block spans of a file.
-
-    Returns ``(arrays, leaves)``: ``arrays`` maps keyphrase array names to
-    ``(byte offset, view, type code offset)``; ``leaves`` holds one dict
-    per leaf block with its ``start``, leaf id, where its ``kp_base``
-    field sits and its arrays in the same form.  The type code offset is
-    None for the arrays that are always u32 and have no code.
-    """
-    offsets = section_offsets(buf)
-    pos = offsets[3]
+def _walk(buf):
+    """Section offsets, keyphrase arrays and leaf blocks of a file, in file order."""
+    pos = HEADER_SIZE
 
     def take(count, dtype="<u4", coded=False):
         nonlocal pos
@@ -325,26 +313,54 @@ def parse_layout(buf):
         pos += count * np.dtype(dtype).itemsize
         return start, np.frombuffer(buf, dtype=dtype, count=count, offset=start), code_at
 
+    offsets = [pos]
+    (label_len,) = struct.unpack_from("<I", buf, pos)
+    pos += 4 + label_len + 2  # label, orientation flags
+    for _ in range(2):  # vocabulary, string table: count, byte length, blob
+        offsets.append(pos)
+        pos += 12 + struct.unpack_from("<Q", buf, pos + 4)[0]
+    offsets.append(pos)
     (n,) = struct.unpack_from("<I", buf, pos)
     pos += 4
-    arrays = {}
-    for name in ("kp_text_ref", "kp_lengths", "kp_search", "kp_recall"):
-        arrays[name] = take(n, coded=True)
-    pos = offsets[4]
+    arrays = {name: take(n, coded=True) for name in ("kp_text_ref", "kp_search", "kp_recall")}
+    offsets.append(pos)
     (leaf_count,) = struct.unpack_from("<I", buf, pos)
     pos += 4
     leaves = []
     for _ in range(leaf_count):
         pos += -pos % 8
         start = pos
-        leaf_id, kp_base, num_kp, rows, edges = struct.unpack_from("<qIIIQ", buf, pos)
-        pos += 28
+        leaf_id, _, rows = struct.unpack_from("<qII", buf, pos)  # id, keyphrases, rows
+        pos += 16
+        token_rows = take(rows)
+        row_offsets = take(rows + 1, coded=True)
         leaves.append({
-            "start": start, "leaf_id": leaf_id, "kp_base_at": start + 8,
-            "token_rows": take(rows), "offsets": take(rows + 1, coded=True),
-            "edges": take(edges),
+            "start": start, "leaf_id": leaf_id, "num_kp_at": start + 8,
+            "token_rows": token_rows, "offsets": row_offsets,
+            "edges": take(int(row_offsets[1][-1])),
         })
-    return arrays, leaves
+    offsets.append(struct.unpack_from("<Q", buf, 8)[0])
+    return offsets, arrays, leaves
+
+
+def section_offsets(buf):
+    """Starts of the meta, vocabulary, string table, keyphrase and leaf sections, and the body end.
+
+    The header stores only the body end; the rest are found by walking the body.
+    """
+    return _walk(buf)[0]
+
+
+def parse_layout(buf):
+    """Array views (writable over a bytearray) and leaf block spans of a file.
+
+    Returns ``(arrays, leaves)``: ``arrays`` maps keyphrase array names to
+    ``(byte offset, view, type code offset)``; ``leaves`` holds one dict
+    per leaf block with its ``start``, leaf id, where its keyphrase count
+    sits and its arrays in the same form.  The type code offset is None
+    for the arrays that are always u32 and have no code.
+    """
+    return _walk(buf)[1:]
 
 
 def type_code_offsets(buf) -> list[int]:
@@ -356,7 +372,7 @@ def type_code_offsets(buf) -> list[int]:
 
 def reseal(buf) -> bytes:
     """Recompute the body CRC after an edit, so only the edit is wrong."""
-    body_end = section_offsets(buf)[5]
+    (body_end,) = struct.unpack_from("<Q", buf, 8)
     struct.pack_into("<I", buf, body_end, zlib.crc32(bytes(buf[HEADER_SIZE:body_end])))
     return bytes(buf)
 

@@ -380,10 +380,10 @@ def test_stats_prints_per_leaf_lines(model_path, capsys):
 
 def test_stats_prints_the_model_fingerprint(model_path, capsys):
     data = Path(model_path).read_bytes()
-    crc = zlib.crc32(data[56:-4])
+    crc = zlib.crc32(data[16:-4])
     assert main(["stats", "--model", model_path]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == (f"model: format 4, crc 0x{crc:08x}, 5 keyphrases, "
+    assert first == (f"model: format 5, crc 0x{crc:08x}, 5 keyphrases, "
                      f"7 vocabulary tokens, {len(data)} bytes")
 
 
@@ -507,6 +507,21 @@ def test_eval_head_set_follows_the_score_orientation(orientation, value, head, t
     threshold = evaluation.HeadThreshold(
         90.0, value, 10, curation.ScoreOrientation.from_name(orientation))
     assert [p["keyphrase"] for p in predictions if threshold.is_head(p["search"])] == [head]
+
+
+def test_eval_prediction_without_search_is_never_head_nor_in_the_universe(tmp_path):
+    # "shoe" was read as search 0.0, the best rank: universe 4, head 2.
+    predictions = [{"keyphrase": "red shoe", "search": 1}, {"keyphrase": "red hat", "search": 2},
+                   {"keyphrase": "red mug", "search": 3}, {"keyphrase": "shoe"}]
+    run, report_path = tmp_path / "run.jsonl", tmp_path / "report.json"
+    run.write_text(json.dumps({"item_id": "i1", "title": "red shoe",
+                               "predictions": predictions}) + "\n")
+    assert main(["eval", "--runs", f"ours={run}", "--oracle", "heuristic",
+                 "--score-orientation", "rank", "--head-percentile", "50",
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["head_threshold"] == {"percentile": 50.0, "value": 2.0, "universe_size": 3}
+    assert report["models"]["ours"]["head"] == 1
 
 
 def test_eval_rank_universe_counts_missing_keyphrases_as_tail(tmp_path):

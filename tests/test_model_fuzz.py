@@ -18,7 +18,7 @@ from graphex.graph import build
 from graphex.inference import Alignment, Query, recommend
 from graphex.storage import ModelFormatError, from_bytes, to_bytes
 
-from helpers import HEADER_SIZE, make_rows, reseal, section_offsets, type_code_offsets
+from helpers import HEADER_SIZE, make_rows, reseal, type_code_offsets
 
 N_CASES = 4000
 # Integers that sit on a type's edge, written over counts, offsets and ids.
@@ -35,7 +35,7 @@ def fuzz_model_bytes() -> bytes:
 def mutate(rng: random.Random, data: bytes) -> bytes:
     """One random edit of ``data``; body edits are resealed with a fresh CRC."""
     buf = bytearray(data)
-    body_end = section_offsets(buf)[5]
+    (body_end,) = struct.unpack_from("<Q", buf, 8)
     kind = rng.choice(("byte", "type code", "u32", "u64", "span", "header"))
     if kind == "byte":
         buf[rng.randrange(HEADER_SIZE, body_end)] = rng.randrange(256)
@@ -57,11 +57,10 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
         else:
             buf[lo:lo] = buf[lo:hi]
             body_end += hi - lo
-        struct.pack_into("<Q", buf, 8 + 5 * 8, body_end)
+        struct.pack_into("<Q", buf, 8, body_end)
     else:
-        # The header is outside the checksum: move one section offset.
-        section = rng.randrange(6)
-        struct.pack_into("<Q", buf, 8 + 8 * section, rng.randrange(body_end + 16))
+        # The header is outside the checksum: move the body end.
+        struct.pack_into("<Q", buf, 8, rng.randrange(body_end + 16))
         return bytes(buf)
     return reseal(buf)
 

@@ -187,7 +187,7 @@ def test_leaf_block_nbytes_matches_serialized_growth():
 
 
 # ---------------------------------------------------------------------------
-# The format version 4 layout, read back by the parser in helpers.py.
+# The format version 5 layout, read back by the parser in helpers.py.
 
 
 def model_of(*pairs):
@@ -205,7 +205,7 @@ def test_every_loaded_array_is_aligned():
     assert all(start % 8 == 0 for start in starts)
     assert all(leaf["start"] % 8 == 0 for leaf in leaves)
     loaded = from_bytes(data)
-    loaded_arrays = [loaded.kp_text_ref, loaded.kp_lengths, loaded.kp_search, loaded.kp_recall]
+    loaded_arrays = [loaded.kp_text_ref, loaded.kp_search, loaded.kp_recall]
     for graph in loaded.leaf_graphs.values():
         loaded_arrays += [graph.token_rows, graph.offsets, graph.edges]
     assert all(arr.flags.aligned for arr in loaded_arrays)
@@ -224,13 +224,15 @@ def test_leaf_block_nbytes_is_the_serialized_block_size():
     # Odd and even row and edge counts both occur, so padding is exercised.
     assert {len(leaf["token_rows"][1]) % 2 for leaf in leaves} == {0, 1}
     assert {len(leaf["edges"][1]) % 2 for leaf in leaves} == {0, 1}
-    # The leaf section header is the u32 leaf count padded to 8 bytes.
-    assert sum(sizes.values()) == body_end - leaf_start - 8
+    # The leaf section header is the u32 leaf count, then padding to 8 bytes.
+    first = leaves[0]["start"]
+    assert first - leaf_start - 4 == -(leaf_start + 4) % 8
+    assert sum(sizes.values()) == body_end - first
 
 
 def test_version_1_file_is_rejected_and_names_its_version(headphones_model):
     data = bytearray(to_bytes(headphones_model))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         data[4:8] = version.to_bytes(4, "little")
         with pytest.raises(UnsupportedVersionError) as excinfo:
             from_bytes(bytes(data))
@@ -244,41 +246,40 @@ def tiny_model():
     return build(curate(rows, orientation=COUNT_ORIENTATION, meta_category="Tiny"))
 
 
-# Every byte of tiny_model() in format version 4.  A layout change that
+# Every byte of tiny_model() in format version 5.  A layout change that
 # does not bump the version fails here.
-TINY_MODEL_V4 = bytes.fromhex(
-    # header: magic, version 4, offsets of the five sections and the body end
-    "47455831 04000000 3800000000000000 4e00000000000000 6700000000000000 "
-    "8900000000000000 c000000000000000 5001000000000000 "
-    # meta: label length and UTF-8, orientation flags, keyphrase count, leaf count
-    "04000000 54696e79 01 01 0300000000000000 02000000 "
+TINY_MODEL_V5 = bytes.fromhex(
+    # header: magic, version 5, body end
+    "47455831 05000000 f000000000000000 "
+    # meta: label length and UTF-8, orientation flags
+    "04000000 54696e79 01 01 "
     # vocabulary: entry count, byte length, blob
     "03000000 0d00000000000000 6861740a7265640a73686f650a "
     # string table: entry count, byte length, blob
     "03000000 1600000000000000 726564206861740a7265642073686f650a73686f650a "
-    # keyphrases: count; each array a type code, pad and values; pad.  Text refs
-    # and lengths are u8 (code 1), search and recall scores f32 (code 5).
-    "03000000 01 0000 010200 01 00000000 020102 05 00000000 "
-    "0000f041 00002041 0000a041 05 000000 00000040 0000803f 00004040 00000000 "
-    # leaves: count, pad
-    "02000000 00000000 "
-    # leaf 1: id, kp base, keyphrase count, row count, edge count, pad
-    "0100000000000000 00000000 02000000 02000000 0300000000000000 00000000 "
+    # keyphrases: count; each array a type code, pad and values.  Text refs
+    # are u8 (code 1), search and recall scores f32 (code 5).
+    "03000000 01 000000000000 010200 05 00000000 0000f041 00002041 0000a041 "
+    "05 000000 00000040 0000803f 00004040 "
+    # leaves: count
+    "02000000 "
+    # leaf 1: id, keyphrase count, row count
+    "0100000000000000 02000000 02000000 "
     # token rows; row offsets as u8 (code 1, pad, values, pad); edges, pad
     "0100000002000000 01 00000000000000 000103 0000000000 "
     "000000000000000001000000 00000000 "
-    # leaf 2: id, kp base, keyphrase count, row count, edge count, pad
-    "0200000000000000 02000000 01000000 02000000 0200000000000000 00000000 "
+    # leaf 2: id, keyphrase count, row count
+    "0200000000000000 01000000 02000000 "
     # token rows; row offsets as u8; edges
     "0000000001000000 01 00000000000000 000102 0000000000 0200000002000000 "
     # CRC-32 of the body
-    "8c5b7f9f"
+    "ac56a379"
 )
 
 
 def test_tiny_model_file_is_pinned_byte_for_byte():
-    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V4.hex()
-    loaded = from_bytes(TINY_MODEL_V4)
+    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V5.hex()
+    loaded = from_bytes(TINY_MODEL_V5)
     assert_models_equal(tiny_model(), loaded)
     predictions = recommend(loaded, Query("red shoe", 1))
     assert [(p.keyphrase, p.align, p.search) for p in predictions] == [
@@ -332,16 +333,20 @@ def test_loading_holds_no_string_per_keyphrase():
     assert retained < 4.2e6
 
 
-def test_leaf_without_token_rows_loads_and_answers_empty():
-    model = model_of(("a b", 1))
-    model.leaf_graphs[2] = LeafGraph(
-        leaf_category=2,
+def empty_leaf(leaf_id, kp_base):
+    return LeafGraph(
+        leaf_category=leaf_id,
         token_rows=np.empty(0, dtype=np.uint32),
         offsets=np.zeros(1, dtype=np.int64),
         edges=np.empty(0, dtype=np.uint32),
-        kp_base=model.num_keyphrases,
+        kp_base=kp_base,
         num_keyphrases=0,
     )
+
+
+def test_leaf_without_token_rows_loads_and_answers_empty():
+    model = model_of(("a b", 1))
+    model.leaf_graphs[2] = empty_leaf(2, model.num_keyphrases)
     loaded = from_bytes(to_bytes(model))
     for candidate in (model, loaded):
         assert recommend(candidate, Query("a b", 2)) == []
@@ -350,15 +355,12 @@ def test_leaf_without_token_rows_loads_and_answers_empty():
 
 
 def drop_last_leaf(buf):
-    """Cut the last leaf block out of the file and fix every count."""
-    offsets = list(section_offsets(buf))
+    """Cut the last leaf block out of the file and fix the leaf count and body end."""
     _, leaves = parse_layout(buf)
     cut = leaves[-1]["start"]
     out = bytearray(buf[:cut]) + bytearray(4)
-    offsets[5] = cut
-    struct.pack_into("<6Q", out, 8, *offsets)
-    for count_at in (offsets[1] - 4, offsets[4]):  # meta section and leaf section
-        struct.pack_into("<I", out, count_at, len(leaves) - 1)
+    struct.pack_into("<Q", out, 8, cut)
+    struct.pack_into("<I", out, section_offsets(buf)[4], len(leaves) - 1)
     return out
 
 
@@ -396,12 +398,25 @@ def edit_text(old: bytes, new: bytes):
     return edit
 
 
-def edit_second_leaf_to_overlap(buf):
+def edit_last_leaf_keyphrase_count(buf):
     _, leaves = parse_layout(buf)
-    second = leaves[1]
-    struct.pack_into("<I", buf, second["kp_base_at"], 0)
-    second["edges"][1][:] = 0
+    struct.pack_into("<I", buf, leaves[-1]["num_kp_at"], 2)
     return buf
+
+
+def edit_padding_after_offsets_code(buf):
+    _, leaves = parse_layout(buf)
+    buf[leaves[0]["offsets"][2] + 1] = 0x55
+    return buf
+
+
+def insert_before_checksum(junk: bytes):
+    def edit(buf):
+        body_end = struct.unpack_from("<Q", buf, 8)[0]
+        buf[body_end:body_end] = junk
+        struct.pack_into("<Q", buf, 8, body_end + len(junk))
+        return buf
+    return edit
 
 
 def edit_second_leaf_id(buf):
@@ -421,22 +436,25 @@ MALFORMED = {
         [("aa bb cc", 1)], edit_first_leaf("offsets", 0, 1), "row offsets"),
     "offsets decrease": (
         [("aa bb", 1), ("aa cc", 1)], edit_first_leaf("offsets", 2, 1), "row offsets"),
+    # The last offset is the edge count, so the third edge goes unread.
     "offsets do not end at edge count": (
-        [("aa bb cc", 1)], edit_first_leaf("offsets", 3, 2), "row offsets"),
+        [("aa bb cc", 1)], edit_first_leaf("offsets", 3, 2),
+        "8 unread bytes before the checksum"),
+    "nonzero padding": (
+        [("aa bb", 1)], edit_padding_after_offsets_code, "nonzero padding at byte"),
+    "bytes between the last leaf and the checksum": (
+        [("aa bb", 1)], insert_before_checksum(b"junkjunk"), "8 unread bytes before the checksum"),
     "edge outside leaf range": (
         [("aa bb", 1), ("cc dd", 2)], edit_first_leaf("edges", 0, 1), "edge outside"),
-    # Row bb's edge moves from "aa bb" to "aa cc": "aa cc" then overlaps a
-    # title on three tokens but has two, and its LTA score is infinite.
-    "keyphrase edge count differs from its token count": (
-        [("aa bb", 1), ("aa cc", 1)], edit_first_leaf("edges", 2, 1), "edge count"),
-    "leaf ranges overlap": (
-        [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_to_overlap, "overlap"),
     "leaf ranges leave keyphrases uncovered": (
-        [("aa bb", 1), ("aa bb", 2)], drop_last_leaf, "cover"),
+        [("aa bb", 1), ("aa bb", 2)], drop_last_leaf, "the leaves hold 1 of the 2 keyphrases"),
+    # Leaf 2 starts at keyphrase 1 and claims 2 of a 2-entry table.
+    "a leaf runs past the keyphrase table": (
+        [("aa bb", 1), ("cc dd", 2)], edit_last_leaf_keyphrase_count,
+        "the leaves hold 3 of the 2 keyphrases"),
     "duplicate leaf id": (
-        [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_id, "appears twice"),
-    "keyphrase length differs from its edge count": (
-        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_lengths", 1, 3), "edge count"),
+        [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_id,
+        "leaf ids must be strictly ascending: leaf 1 follows leaf 1"),
     "keyphrase text reference outside string table": (
         [("aa bb", 1), ("cc dd", 1)], edit_array("kp_text_ref", 1, 2), "string table"),
     # The vocabulary blob of these models is b"aa\nab\n" or b"aa\nbb\n", the
@@ -467,7 +485,7 @@ MALFORMED = {
         [("aa bb", 1), ("cc dd", 1)], edit_array("kp_recall", 1, np.inf), "not finite"),
     # Codes 1-4 are u8-u64 and 5-6 are f32-f64; 0 is zero padding.
     "unknown type code": (
-        [("aa bb", 1)], edit_type_code("kp_lengths", 7), "keyphrase lengths: type code 7"),
+        [("aa bb", 1)], edit_type_code("kp_search", 7), "search scores: type code 7"),
     "zero type code": (
         [("aa bb", 1)], edit_type_code("kp_text_ref", 0), "text references: type code 0"),
     "float row offsets": (
@@ -485,6 +503,43 @@ def test_malformed_body_with_valid_checksum_fails_at_load(case):
     data = reseal(edit(bytearray(to_bytes(model_of(*pairs)))))
     with pytest.raises(MalformedModelError, match=message):
         from_bytes(data)
+
+
+def test_moved_edge_changes_the_derived_lengths_and_scores_stay_finite():
+    # Row bb's edge moves from "aa bb" to "aa cc".  Format 4 stored "aa
+    # cc"'s length, 2, so a title overlapping it on three tokens gave an
+    # infinite LTA score; its length is now its edge count, 3.
+    edit = edit_first_leaf("edges", 2, 1)
+    loaded = from_bytes(reseal(edit(bytearray(to_bytes(model_of(("aa bb", 1), ("aa cc", 1)))))))
+    assert loaded.kp_lengths.tolist() == [1, 3]
+    for align in Alignment:
+        predictions = recommend(loaded, Query("aa bb cc", 1), align=align)
+        assert sorted(p.keyphrase for p in predictions) == ["aa bb", "aa cc"]
+        assert all(np.isfinite(p.align) for p in predictions)
+
+
+def test_empty_leaf_between_populated_leaves_round_trips():
+    model = model_of(("a b", 1), ("c d", 3))
+    model.leaf_graphs[2] = empty_leaf(2, model.leaf(3).kp_base)
+    data = to_bytes(model)
+    loaded = from_bytes(data)
+    assert_models_equal(model, loaded)
+    assert to_bytes(loaded) == data
+    assert [loaded.leaf(leaf).kp_base for leaf in (1, 2, 3)] == [0, 1, 1]
+    assert recommend(loaded, Query("a b c d", 2)) == []
+    assert [p.keyphrase for p in recommend(loaded, Query("a b c d", 3))] == ["c d"]
+
+
+def test_writer_rejects_a_kp_base_that_is_not_the_running_keyphrase_count():
+    model = model_of(("a b", 1), ("c d", 3))
+    model.leaf_graphs[2] = empty_leaf(2, 0)
+    with pytest.raises(ValueError, match="leaf 2: kp_base is 0, but the leaves before it "
+                                         "hold 1 keyphrases"):
+        to_bytes(model)
+    model = model_of(("a b", 1), ("c d", 3))
+    model.kp_lengths = np.array([2, 3], dtype=np.uint8)
+    with pytest.raises(ValueError, match="kp_lengths are not the keyphrases' edge counts"):
+        to_bytes(model)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +564,10 @@ def assert_stored_and_answered_like_brute(dataset, titles):
     loaded = from_bytes(data)
     assert_models_equal(model, loaded)
     assert to_bytes(loaded) == data
-    assert to_bytes(brute_build(dataset)) == data
+    reference = brute_build(dataset)
+    assert to_bytes(reference) == data
+    # The file holds no lengths; the reference counts its own.
+    assert np.array_equal(reference.kp_lengths, loaded.kp_lengths)
     for leaf in dataset.leaves:
         for title in titles:
             for align in Alignment:
