@@ -218,6 +218,8 @@ def _load_universe(path: str) -> dict[str, float]:
                 raise ValueError(error)
             if len(fields) != 2:
                 raise ValueError("expected keyphrase<TAB>count")
+            if fields[0] in counts:
+                raise ValueError(f"duplicate keyphrase in universe: {fields[0]!r}")
             counts[fields[0]] = curation._parse_score(fields[1], "search count")
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
@@ -270,6 +272,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     current = search_counts.get(pred.keyphrase)
                     if current is None or canonical(pred.search) > canonical(current):
                         search_counts[pred.keyphrase] = pred.search
+        if not search_counts:
+            raise ValueError("no prediction in the runs has a search score; "
+                             "give the scores with --keyphrase-universe")
 
     threshold = evaluation.head_threshold(
         sorted(search_counts.items()), percentile=args.head_percentile, orientation=orientation

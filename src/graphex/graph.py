@@ -264,15 +264,22 @@ def keyphrase_lengths(leaf_graphs: Iterable[LeafGraph], num_keyphrases: int) -> 
     """Each keyphrase's token count, its number of edges, in the narrowest type.
 
     A keyphrase has one edge per distinct token, so an overlap count,
-    which counts some of its edges, never exceeds its length.  Every
-    edge must lie in its leaf's keyphrase range, and every range in
-    ``[0, num_keyphrases)``.  The result starts as uint8 and widens only
-    when a leaf's counts need it, so no array of all keyphrases is wider
-    than the result.
+    which counts some of its edges, never exceeds its length.  A leaf
+    whose keyphrase range leaves ``[0, num_keyphrases)``, or whose edge
+    leaves that range, raises ``ValueError``.  The result starts as uint8
+    and widens only when a leaf's counts need it, so no array of all
+    keyphrases is wider than the result.
     """
     lengths = np.zeros(num_keyphrases, dtype=np.uint8)
     for graph in leaf_graphs:
         base, count, edges = graph.kp_base, graph.num_keyphrases, graph.edges
+        if base + count > num_keyphrases:
+            raise ValueError(f"leaf {graph.leaf_category}: keyphrases [{base}, {base + count}) "
+                             f"run past the {num_keyphrases}-keyphrase table")
+        # Checked before the uint32 subtraction below, which would wrap.
+        if len(edges) and not (edges.min() >= base and edges.max() < base + count):
+            raise ValueError(f"leaf {graph.leaf_category}: edge outside the leaf's "
+                             f"keyphrase range [{base}, {base + count})")
         counts = np.zeros(count, dtype=np.intp)
         for start in range(0, len(edges), _COUNT_CHUNK):
             counts += np.bincount(edges[start:start + _COUNT_CHUNK] - np.uint32(base),

@@ -74,7 +74,7 @@ class BadRequest(ValueError):
 def _parse_recommend_body(raw: bytes, config: ServeConfig) -> tuple[str, int, int, Alignment]:
     try:
         body = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also a huge number or deep nesting
         raise BadRequest(f"body is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise BadRequest("body must be a JSON object")
@@ -102,13 +102,14 @@ def _content_length(header: str | None) -> int | None:
 
     Returns ``None`` unless the value is a plain run of ASCII digits:
     ``int`` alone would accept a sign, underscores and non-ASCII digits.
+    ``int`` refuses over 4,300 digits: 20 significant ones, past any limit, are read.
     """
     if not header:
         return 0
     header = header.strip()
     if not (header.isascii() and header.isdigit()):
         return None
-    return int(header)
+    return int(header.lstrip("0")[:20] or "0")
 
 
 def _http_version(word: str) -> tuple[int, int] | None:
@@ -130,14 +131,9 @@ def _http_date() -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-def _json_bytes(payload: dict | str) -> bytes:
-    """``payload`` as JSON text, or a dict to dump, in UTF-8."""
-    return (payload if isinstance(payload, str) else json.dumps(payload)).encode("utf-8")
-
-
 def _response(status: int, payload: dict | str, close: bool) -> bytes:
-    """One whole response: status line, headers and ``payload`` as the JSON body."""
-    body = _json_bytes(payload)
+    """One whole response: status line, headers and ``payload`` (JSON text or a dict) as body."""
+    body = (payload if isinstance(payload, str) else json.dumps(payload)).encode("utf-8")
     connection = "Connection: close\r\n" if close else ""
     head = (f"{_STATUS_LINES[status]}Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\nDate: {_http_date()}\r\n{connection}\r\n")
@@ -255,15 +251,11 @@ class _Handler(socketserver.StreamRequestHandler):
         del buffer[:length]
         return body
 
-    def _send(self, status: int, payload: dict | str, close: bool, bare: bool = False) -> bool:
-        """Send one answer in one write; returns whether the connection stays open.
-
-        A ``bare`` answer, to an HTTP/0.9 request, is the body alone.
-        """
-        data = _json_bytes(payload) if bare else _response(status, payload, close)
+    def _send(self, status: int, payload: dict | str, close: bool) -> bool:
+        """Send one answer in one write; returns whether the connection stays open."""
         # One write: a second would wait on the client's delayed ACK
         # (~40 ms) under Nagle's algorithm.
-        self.connection.sendall(data)
+        self.connection.sendall(_response(status, payload, close))
         return not close
 
     def _serve_one(self) -> bool:
@@ -278,38 +270,35 @@ class _Handler(socketserver.StreamRequestHandler):
         words = request_line.split()
         if not words:
             return False
-        version = None  # HTTP/0.9: no version word, and no headers in the answer
+        # Method, path and HTTP/1.x version; the version word is judged first.
         if len(words) >= 3:
             version = _http_version(words[-1])
             if version is None:
                 return self._send(400, {"error": f"bad request version {words[-1]!r}"}, True)
             if version >= (2, 0):
-                return self._send(505, {"error": f"unsupported HTTP version {words[-1]!r}"},
-                                  True)
-        bare = version is None
-        if not 2 <= len(words) <= 3 or (bare and words[0] != "GET"):
-            return self._send(400, {"error": f"bad request line {request_line!r}"}, True, bare)
-        method, path = words[:2]
+                return self._send(505, {"error": f"unsupported HTTP version {words[-1]!r}"}, True)
+        if len(words) != 3:
+            return self._send(400, {"error": f"bad request line {request_line!r}"}, True)
+        method, path, _ = words
         headers = self._headers(deadline)
         if headers is None:
             return self._send(431, {"error": f"{_MAX_HEADERS} header lines or a line over "
-                                             f"{_MAX_LINE_BYTES} bytes"}, True, bare)
+                                             f"{_MAX_LINE_BYTES} bytes"}, True)
         connection = headers.get("connection", "").lower()
-        close = bare or connection == "close" or (version < (1, 1) and connection != "keep-alive")
+        close = connection == "close" or (version < (1, 1) and connection != "keep-alive")
         if method not in ("GET", "POST"):
-            return self._send(501, {"error": f"unsupported method {method!r}"}, True, bare)
+            return self._send(501, {"error": f"unsupported method {method!r}"}, True)
         if "transfer-encoding" in headers:
             # A chunked body is not read, so the connection cannot be reused.
-            return self._send(411, {"error": "send the body with a Content-Length"}, True, bare)
+            return self._send(411, {"error": "send the body with a Content-Length"}, True)
         length = _content_length(headers.get("content-length"))
         if length is None:
             # The body's extent is unknown, so the connection cannot be reused.
-            return self._send(400, {"error": "Content-Length must be a non-negative integer"},
-                              True, bare)
+            return self._send(400, {"error": "Content-Length must be a non-negative integer"}, True)
         too_long = {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
         if length > 2 * MAX_BODY_BYTES:
-            return self._send(413, too_long, True, bare)
-        if not bare and version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
+            return self._send(413, too_long, True)
+        if version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
             self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         # Read an over-long body to its end too: an answer sent first would
         # leave the body in the stream, and closing at once resets a client
@@ -318,7 +307,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if body is None:
             return False
         if length > MAX_BODY_BYTES:
-            return self._send(413, too_long, close, bare)
+            return self._send(413, too_long, close)
         if (method, path) == ("POST", "/recommend"):
             status, payload = self._recommend(body)
         elif (method, path) == ("GET", "/healthz"):
@@ -333,7 +322,7 @@ class _Handler(socketserver.StreamRequestHandler):
         else:
             status, payload = 404, {"error": f"no such path: {path}"}
         log.debug('%s "%s %s" %d', self.client_address[0], method, path, status)
-        return self._send(status, payload, close, bare)
+        return self._send(status, payload, close)
 
     def _recommend(self, body: bytes) -> tuple[int, dict | str]:
         """Status and payload answering a ``/recommend`` body."""

@@ -339,8 +339,7 @@ def save(model: Model, path: str) -> int:
 def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
     """Whole-array checks that make every query on ``graph`` well defined."""
     leaf = f"leaf {graph.leaf_category}"
-    rows, offsets, edges = graph.token_rows, graph.offsets, graph.edges
-    base, count = graph.kp_base, graph.num_keyphrases
+    rows, offsets = graph.token_rows, graph.offsets
     _require(
         bool(np.all(rows[1:] > rows[:-1])) and (not len(rows) or rows[-1] < num_tokens),
         f"{leaf}: token rows must be strictly ascending vocabulary ids",
@@ -348,10 +347,6 @@ def _check_leaf(graph: LeafGraph, num_tokens: int) -> None:
     _require(
         offsets[0] == 0 and bool(np.all(offsets[1:] >= offsets[:-1])),
         f"{leaf}: row offsets must rise from 0",
-    )
-    _require(
-        not len(edges) or (edges.min() >= base and edges.max() < base + count),
-        f"{leaf}: edge outside the leaf's keyphrase range [{base}, {base + count})",
     )
 
 
@@ -447,7 +442,10 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
     _require(kp_base == n, f"the leaves hold {kp_base} of the {n} keyphrases")
     r.align()
     _require(r.pos == body_end, f"{body_end - r.pos} unread bytes before the checksum")
-    kp_lengths = keyphrase_lengths(leaf_graphs.values(), n)
+    try:  # it also checks each leaf's edge range
+        kp_lengths = keyphrase_lengths(leaf_graphs.values(), n)
+    except ValueError as exc:
+        raise MalformedModelError(str(exc)) from None
 
     try:
         vocabulary = Vocabulary(

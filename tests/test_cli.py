@@ -608,6 +608,21 @@ def test_eval_bad_universe_count_names_file_and_line(count, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {universe}:11: {message}\n"
 
 
+def test_eval_repeated_universe_keyphrase_names_file_and_line(tmp_path, capsys):
+    # Read into a dict, the repeat's count 1 replaced 30, and the threshold
+    # became 10.0 where it is 20.0 without the repeated line.
+    run = tmp_path / "run.jsonl"
+    run.write_text(json.dumps({"item_id": "i1", "title": "red shoe", "predictions": [
+        {"keyphrase": "red shoe", "search": 30}]}) + "\n")
+    universe = tmp_path / "universe.tsv"
+    universe.write_text("red shoe\t30\nred hat\t20\nred mug\t10\nred shoe\t1\n")
+    code = main(["eval", "--runs", f"a={run}", "--oracle", "heuristic",
+                 "--head-percentile", "50", "--keyphrase-universe", str(universe)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {universe}:4: duplicate keyphrase in universe: 'red shoe'\n")
+
+
 @pytest.mark.parametrize("which", ["run", "items", "fixture", "universe"])
 def test_eval_invalid_utf8_names_file_and_line(which, tmp_path, capsys):
     paths, fixture, universe = eval_setup(tmp_path)
@@ -701,6 +716,10 @@ BOUNDARY_CASES = [
      2, "graphex eval: error: argument --head-percentile: invalid float value: 'high'"),
     ("eval", "malformed line", "eval --runs a={bad_run} --oracle heuristic",
      1, "error: {bad_run}:1: bad prediction row"),
+    # Without --keyphrase-universe the head threshold needs predicted search scores.
+    ("eval", "no search score", "eval --runs a={unscored_run} --oracle heuristic",
+     1, "error: no prediction in the runs has a search score; "
+        "give the scores with --keyphrase-universe"),
     ("serve", "missing file", "serve --model {absent}",
      2, "error: no such file: {absent}"),
     ("serve", "bad flag value", "serve --model {model} --port http",
@@ -737,6 +756,8 @@ def test_each_command_answers_a_bad_input_with_one_line(
         "bad_items": f"i1\t{HEADPHONES_TITLE}\t42\ni2\tno leaf column\n",
         "run": json.dumps({"item_id": "i1", "title": "red shoe", "predictions": []}) + "\n",
         "bad_run": "{not json\n",
+        "unscored_run": json.dumps({"item_id": "i1", "title": "red shoe",
+                                    "predictions": [{"keyphrase": "red shoe"}]}) + "\n",
     }
     paths = {"model": model_path, "absent": str(tmp_path / "absent"),
              "out": str(tmp_path / "out")}

@@ -246,11 +246,13 @@ def exchange(srv: RecommendServer, request: bytes) -> bytes:
     (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
     (b"GET /healthz FTP/1.1\r\n\r\n", 400),
     (b"GET /healthz extra HTTP/1.1\r\n\r\n", 400),
+    (b"GET /healthz\r\n\r\n", 400),
     (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
     (b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 101 + b"\r\n", 431),
     (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
 ], ids=["put", "head", "http-2.0", "version-without-minor", "version-not-digits",
-        "not-http", "four-words", "long-request-line", "101-header-lines", "long-header-line"])
+        "not-http", "four-words", "no-version", "long-request-line", "101-header-lines",
+        "long-header-line"])
 def test_a_request_the_server_cannot_frame_gets_a_json_error_and_closes(
     start_server, request_bytes, status
 ):
@@ -260,6 +262,17 @@ def test_a_request_the_server_cannot_frame_gets_a_json_error_and_closes(
     assert headers["content-type"] == "application/json"
     assert int(headers["content-length"]) == len(body)
     assert set(json.loads(body)) == {"error"}
+
+
+@pytest.mark.parametrize("length, status", [
+    (b"1" + b"0" * 5000, 413),
+    (b"0" * 5000 + b"2", 200),
+], ids=["5001-digits", "5000-leading-zeros"])
+def test_a_content_length_of_thousands_of_digits_is_read(start_server, length, status):
+    # int() refuses over 4,300 digits; the first is past every limit, the second is 2.
+    request = (b"GET /healthz HTTP/1.1\r\nConnection: close\r\nContent-Length: %s\r\n\r\n{}"
+               % length)
+    assert split_response(exchange(start_server(), request))[0] == status
 
 
 @pytest.mark.parametrize("fields, status", [(99, 200), (100, 431)])

@@ -540,6 +540,22 @@ def test_writer_rejects_a_kp_base_that_is_not_the_running_keyphrase_count():
     model.kp_lengths = np.array([2, 3], dtype=np.uint8)
     with pytest.raises(ValueError, match="kp_lengths are not the keyphrases' edge counts"):
         to_bytes(model)
+    # Leaf 1 holds keyphrase 0 and leaf 3 keyphrase 1.  An edge above a
+    # leaf's range, or below it (where the count's uint32 subtraction
+    # would wrap), is named before anything is counted.
+    for leaf_id, edge, leaf_range in ((1, 1, r"\[0, 1\)"), (3, 0, r"\[1, 2\)")):
+        model = model_of(("a b", 1), ("c d", 3))
+        graph = model.leaf_graphs[leaf_id]
+        graph.edges = graph.edges.copy()
+        graph.edges[0] = edge
+        with pytest.raises(ValueError, match=f"leaf {leaf_id}: edge outside the leaf's "
+                                             f"keyphrase range {leaf_range}"):
+            to_bytes(model)
+    model = model_of(("a b", 1), ("c d", 3))
+    model.leaf_graphs[3].num_keyphrases = 2
+    with pytest.raises(ValueError, match=r"leaf 3: keyphrases \[1, 3\) run past the "
+                                         r"2-keyphrase table"):
+        to_bytes(model)
 
 
 # ---------------------------------------------------------------------------
