@@ -95,6 +95,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     finished = time.perf_counter()
     total_edges = sum(g.num_edges for g in model.leaf_graphs.values())
     print(f"rows: {report.rows_ok} ok, {report.rows_bad} malformed")
+    stats = dataset.stats
+    print(f"curated: {stats.kept} kept, {stats.dropped_by_threshold} below --min-search-count, "
+          f"{stats.dropped_empty} empty after normalization, {stats.deduplicated} duplicates merged")
     print(
         f"model: {len(model.leaf_graphs)} leaves, {len(model.vocabulary)} tokens, "
         f"{total_edges} edges, {model.num_keyphrases} keyphrases"

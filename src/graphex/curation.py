@@ -263,9 +263,5 @@ def curate(
     warnings: list[str] = []
     dataset = CuratedDataset(meta_category, orientation, leaves, stats, warnings)
     if dataset.is_vacuous:
-        warnings.append(
-            "curation produced an empty dataset: "
-            f"{stats.rows_in} rows in, {stats.dropped_by_threshold} below threshold, "
-            f"{stats.dropped_empty} empty after normalization"
-        )
+        warnings.append("curation produced an empty dataset")
     return dataset

@@ -82,6 +82,9 @@ class FixtureOracle(RelevanceOracle):
                     raise ValueError(error)
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 tab-separated columns, got {len(fields)}")
+                if (fields[0], fields[1]) in judgments:
+                    raise ValueError(f"duplicate judgment for item {fields[0]!r}, "
+                                     f"keyphrase {fields[1]!r}")
                 judgments[(fields[0], fields[1])] = parse_yes_no(fields[2])
             except (ValueError, OracleError) as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None

@@ -1,11 +1,12 @@
 """Bipartite token-to-keyphrase graphs in CSR form, one per leaf category.
 
-A model is a collection of leaf graphs over a shared token vocabulary and
-a shared keyphrase string table.  Keyphrase ids are assigned contiguously
+A model is a collection of leaf graphs over a shared token vocabulary,
+with one text per keyphrase.  Keyphrase ids are assigned contiguously
 per leaf (leaves in ascending id order, keyphrases in ascending text
 order within a leaf), which makes every leaf's ids a dense range
 ``[kp_base, kp_base + num_keyphrases)`` and keeps builds deterministic:
 the same curated dataset always produces the same model, byte for byte.
+A text held by several leaves is stored once per leaf.
 """
 
 from __future__ import annotations
@@ -203,13 +204,13 @@ class LeafGraph:
 class Model:
     """Immutable recommendation model: vocabulary, keyphrases, leaf graphs.
 
-    Keyphrase ``i`` has text ``kp_texts[kp_text_ref[i]]``, ``kp_lengths[i]``
-    unique tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``;
-    its tokens are the rows whose adjacency holds ``i`` in its leaf graph,
-    so its length is its edge count (:func:`keyphrase_lengths`).
-    Each of these four arrays has the narrowest type that holds its
-    values exactly (:func:`narrowest`): an unsigned integer type for the
-    references and lengths, float32 or float64 for the scores.
+    Keyphrase ``i`` has text ``kp_texts[i]``, ``kp_lengths[i]`` unique
+    tokens and canonical scores ``kp_search[i]``/``kp_recall[i]``; its
+    tokens are the rows whose adjacency holds ``i`` in its leaf graph, so
+    its length is its edge count (:func:`keyphrase_lengths`).  Each of
+    these three arrays has the narrowest type that holds its values
+    exactly (:func:`narrowest`): an unsigned integer type for the
+    lengths, float32 or float64 for the scores.
     ``kp_texts`` is a :class:`StringTable`: the texts stay one UTF-8 blob
     (a view of the file bytes in a loaded model) and are decoded only
     when read, so a model holds no ``str`` per keyphrase.
@@ -221,7 +222,6 @@ class Model:
         orientation: ScoreOrientation,
         vocabulary: Vocabulary,
         kp_texts: StringTable,
-        kp_text_ref: np.ndarray,
         kp_lengths: np.ndarray,
         kp_search: np.ndarray,
         kp_recall: np.ndarray,
@@ -231,7 +231,6 @@ class Model:
         self.orientation = orientation
         self.vocabulary = vocabulary
         self.kp_texts = kp_texts
-        self.kp_text_ref = kp_text_ref
         self.kp_lengths = kp_lengths
         self.kp_search = kp_search
         self.kp_recall = kp_recall
@@ -239,7 +238,7 @@ class Model:
 
     @property
     def num_keyphrases(self) -> int:
-        return len(self.kp_text_ref)
+        return len(self.kp_texts)
 
     @property
     def leaf_categories(self) -> list[int]:
@@ -252,7 +251,7 @@ class Model:
             raise UnknownLeafError(leaf_category) from None
 
     def kp_text(self, kp_id: int) -> str:
-        return self.kp_texts[int(self.kp_text_ref[kp_id])]
+        return self.kp_texts[kp_id]
 
 
 # Edges counted per bincount call: bincount widens its input to intp, so
@@ -302,7 +301,7 @@ def build(dataset: CuratedDataset) -> Model:
     """Construct an immutable model from a curated dataset.
 
     Deterministic by construction: token ids follow sorted token order,
-    the string table is sorted, and keyphrase ids are assigned leaf by
+    and keyphrase ids, the order of ``kp_texts``, are assigned leaf by
     leaf (ascending leaf id) in ascending text order.  An empty dataset
     yields a valid model with zero leaves.
     """
@@ -311,11 +310,6 @@ def build(dataset: CuratedDataset) -> Model:
     groups = [sorted(dataset.leaves[leaf], key=by_text) for leaf in leaf_ids]
     keyphrases = list(chain.from_iterable(groups))
     texts = [kp.text for kp in keyphrases]
-
-    # Shared string table, sorted so that ids are reproducible across
-    # builds.  Each leaf's texts are one sorted run, which sorting merges.
-    unique_texts = list(dict.fromkeys(sorted(texts)))
-    text_index = dict(zip(unique_texts, range(len(unique_texts))))
 
     # Every token of every keyphrase, interned in one pass; token ids
     # follow sorted token order.
@@ -359,9 +353,7 @@ def build(dataset: CuratedDataset) -> Model:
         meta_category=dataset.meta_category,
         orientation=orientation,
         vocabulary=vocabulary,
-        kp_texts=StringTable(unique_texts),
-        kp_text_ref=narrowest(
-            np.fromiter(map(text_index.__getitem__, texts), np.uint32, len(texts))),
+        kp_texts=StringTable(texts),
         kp_lengths=keyphrase_lengths(leaf_graphs.values(), len(keyphrases)),
         kp_search=narrowest(orientation.canonical_search(
             np.array([kp.search_score for kp in keyphrases], dtype=np.float64))),

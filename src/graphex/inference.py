@@ -275,7 +275,7 @@ def _rank(
     # texts are decoded.
     orientation = model.orientation
     rows = zip(
-        model.kp_texts.take(model.kp_text_ref[kp_ids[order]]),
+        model.kp_texts.take(kp_ids[order]),
         align_scores[order].tolist(),
         orientation.raw_search(search[order]).tolist(),
         orientation.raw_recall(recall[order]).tolist(),

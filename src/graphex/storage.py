@@ -8,9 +8,8 @@ Layout (all integers little-endian):
 
   - meta: the category label, a u32-length-prefixed UTF-8 string, and
     two u8 orientation flags;
-  - the vocabulary, then the keyphrase string table;
-  - the keyphrase table: a u32 count, text references, search scores
-    and recall scores;
+  - the vocabulary, then the keyphrase string table, one text per keyphrase;
+  - the keyphrase scores: search scores, then recall scores;
   - the leaf graphs: a u32 count, then one block per leaf in ascending
     leaf id order: i64 leaf id, u32 keyphrase count, u32 row count,
     token rows, row offsets and edges.
@@ -18,10 +17,11 @@ Layout (all integers little-endian):
 * footer: u32 CRC-32 of the body bytes.
 
 The file stores each fact once; the reader derives the rest.  Each
-section starts where the one before it ends.  A leaf's first keyphrase
-id (``kp_base``) is the sum of the keyphrase counts of the leaves
-before it, its edge count is its last row offset, and a keyphrase's
-token count is its edge count (:func:`~graphex.graph.keyphrase_lengths`).
+section starts where the one before it ends.  The keyphrase count is
+the string table's entry count.  A leaf's first keyphrase id
+(``kp_base``) is the sum of the keyphrase counts of the leaves before
+it, its edge count is its last row offset, and a keyphrase's token
+count is its edge count (:func:`~graphex.graph.keyphrase_lengths`).
 The body end is kept so that a cut file reads as
 :class:`TruncatedModelError`, not as a checksum mismatch.
 
@@ -38,27 +38,26 @@ padding out from the offset alone, and the arrays it returns are
 aligned.  Serialization is deterministic: the same
 model always produces the same bytes.
 
-The keyphrase table (text references, search and recall scores) and
-each leaf's row offsets are stored in the narrowest type that holds
-their values exactly (:func:`~graphex.graph.narrowest`).  A one-byte
-type code comes before each of these arrays, ahead of its padding: 1,
-2, 3 and 4 are u8, u16, u32 and u64, allowed for the references and
-offsets; 5 and 6 are f32 and f64, allowed for the scores.  A leaf's
-token rows and edges are always u32 and have no code: they hold global
-token and keyphrase ids, and a query searches the token rows with a u32
-needle and sorts gathered edges as u32.
+The keyphrase search and recall scores and each leaf's row offsets are
+stored in the narrowest type that holds their values exactly
+(:func:`~graphex.graph.narrowest`).  A one-byte type code comes before
+each of these arrays, ahead of its padding: 1, 2, 3 and 4 are u8, u16,
+u32 and u64, allowed for the offsets; 5 and 6 are f32 and f64, allowed
+for the scores.  A leaf's token rows and edges are always u32 and have
+no code: they hold global token and keyphrase ids, and a query searches
+the token rows with a u32 needle and sorts gathered edges as u32.
 
 Loading checks the header and the checksum, then each stored value a
-query relies on: leaf ids ascend; the leaves hold exactly the keyphrase
-table's entries; padding is zero, and the last leaf block ends at the
-body end; token rows ascend inside the vocabulary; row offsets rise
-from 0; edges stay in their leaf's keyphrase range; text references
-fall inside the string table; scores are finite; type codes are known
-and allowed for their arrays; text tables are UTF-8 and hold their
-stated entry counts.  A file whose checksum matches but which breaks one
-of these fails here with :class:`MalformedModelError` instead of
-misranking or raising at query time.  Only the current format version
-(5) is read; older files are rebuilt with ``graphex train``.
+query relies on: leaf ids ascend; the leaves hold exactly the
+keyphrases; padding is zero, and the last leaf block ends at the body
+end; token rows ascend inside the vocabulary; row offsets rise from 0;
+edges stay in their leaf's keyphrase range; scores are finite; type
+codes are known and allowed for their arrays; text tables are UTF-8
+and hold their stated entry counts, so there is one text per
+keyphrase.  A file whose checksum matches but which breaks one of these
+fails here with :class:`MalformedModelError` instead of misranking or
+raising at query time.  Only the current format version (6) is read;
+older files are rebuilt with ``graphex train``.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from .graph import LeafGraph, Model, StringTable, keyphrase_lengths, narrowest, 
 from .vocab import Vocabulary
 
 MAGIC = b"GEX1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _HEADER = struct.Struct("<4sIQ")
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
@@ -150,8 +149,8 @@ class _Writer:
         self.u32(len(raw))
         self.buf += raw
 
-    def text_table(self, table: StringTable) -> None:
-        self.u32(len(table))
+    def text_table(self, table: StringTable, what: str) -> None:
+        self.buf += _U32.pack(_check_u32(len(table), what))
         self.u64(len(table.blob))
         self.buf += table.blob
 
@@ -290,22 +289,23 @@ def to_bytes(model: Model) -> bytes:
     """Serialize ``model`` to the binary format (deterministic).
 
     Raises ``ValueError`` when a leaf's ``kp_base`` is not the number of
-    keyphrases in the leaves before it, or ``kp_lengths`` are not the
-    keyphrases' edge counts: the file stores neither, and the reader
-    derives them so.
+    keyphrases in the leaves before it, ``kp_lengths`` are not the
+    keyphrases' edge counts, or a score array does not hold one score per
+    keyphrase: the file stores no bases, lengths or keyphrase count, and
+    the reader derives them so.
     """
-    _check_u32(len(model.vocabulary), "vocabulary size")
+    n = model.num_keyphrases
     w = _Writer()
     w.buf += bytes(_HEADER.size)  # filled in once the body end is known
     w.string(model.meta_category)
     w.u8(int(model.orientation.search_higher_better))
     w.u8(int(model.orientation.recall_lower_better))
-    w.text_table(StringTable(model.vocabulary.surfaces()))
-    w.text_table(model.kp_texts)
-    w.u32(_check_u32(model.num_keyphrases, "keyphrase count"))
-    w.narrow_array(model.kp_text_ref)
-    w.narrow_array(model.kp_search)
-    w.narrow_array(model.kp_recall)
+    w.text_table(StringTable(model.vocabulary.surfaces()), "vocabulary size")
+    w.text_table(model.kp_texts, "keyphrase count")
+    for name, scores in (("kp_search", model.kp_search), ("kp_recall", model.kp_recall)):
+        if len(scores) != n:
+            raise ValueError(f"{name} holds {len(scores)} scores for {n} keyphrases")
+        w.narrow_array(scores)
     w.u32(len(model.leaf_graphs))
     kp_base = 0
     for leaf_id in sorted(model.leaf_graphs):
@@ -318,8 +318,7 @@ def to_bytes(model: Model) -> bytes:
         # end, so a block's size does not depend on where it lands.
         w.align()
         _write_leaf_block(w, graph)
-    if not np.array_equal(model.kp_lengths,
-                          keyphrase_lengths(model.leaf_graphs.values(), model.num_keyphrases)):
+    if not np.array_equal(model.kp_lengths, keyphrase_lengths(model.leaf_graphs.values(), n)):
         raise ValueError("kp_lengths are not the keyphrases' edge counts")
     w.align()
     body_end = len(w.buf)
@@ -396,18 +395,11 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
     num_tokens = r.u32()
     vocab_at = r.pos
     r.take(r.u64())
-    num_strings = r.u32()
+    n = r.u32()  # the string table's entries, one per keyphrase
     strings_at = r.pos
     r.take(r.u64())
-
-    n = r.u32()
-    kp_text_ref = r.narrow_array(n, _INDEX_TYPES, "keyphrase text references")
     kp_search = r.narrow_array(n, _SCORE_TYPES, "keyphrase search scores")
     kp_recall = r.narrow_array(n, _SCORE_TYPES, "keyphrase recall scores")
-    _require(
-        not n or kp_text_ref.max() < num_strings,
-        f"keyphrase text reference outside the {num_strings}-entry string table",
-    )
     _require(
         np.isfinite(kp_search).all() and np.isfinite(kp_recall).all(),
         "keyphrase search or recall score is not finite",
@@ -452,14 +444,13 @@ def from_bytes(data: bytes | mmap.mmap) -> Model:
             _Reader(data, vocab_at, body_end).text_table(num_tokens, "vocabulary"))
     except ValueError as exc:
         raise MalformedModelError(f"vocabulary: {exc}") from None
-    kp_texts = _Reader(data, strings_at, body_end).text_table(num_strings, "keyphrase string table")
+    kp_texts = _Reader(data, strings_at, body_end).text_table(n, "keyphrase string table")
 
     return Model(
         meta_category=meta_category,
         orientation=orientation,
         vocabulary=vocabulary,
         kp_texts=kp_texts,
-        kp_text_ref=kp_text_ref,
         kp_lengths=kp_lengths,
         kp_search=kp_search,
         kp_recall=kp_recall,

@@ -24,8 +24,18 @@ from graphex.curation import (
     ScoreOrientation,
     curate,
 )
-from graphex.graph import LeafGraph, Model, StringTable, build
-from graphex.inference import Alignment, Query, _gather, _prune_cutoff, _runs, recommend
+from graphex.graph import LeafGraph, Model, StringTable, UnknownLeafError, build
+from graphex.inference import (
+    Alignment,
+    BatchItem,
+    Query,
+    _gather,
+    _prune_cutoff,
+    _runs,
+    recommend,
+    recommend_batch,
+)
+from graphex.storage import from_bytes, to_bytes
 from graphex.vocab import Vocabulary, tokenize, unique_tokens
 
 
@@ -100,18 +110,17 @@ def brute_tokenize(text: str) -> list[str]:
 def brute_build(dataset: CuratedDataset) -> Model:
     """The model :func:`graphex.graph.build` must produce, one keyphrase at a time.
 
-    Sorted texts and tokens give the string table and token ids; each
-    leaf's keyphrases take ids in text order, and its CSR comes from one
-    lexsort of (token, keyphrase) pairs.
+    Sorted tokens give the token ids; each leaf's keyphrases take ids in
+    text order, each keyphrase id keeps its own text, and each leaf's CSR
+    comes from one lexsort of (token, keyphrase) pairs.
     """
     leaf_ids = sorted(dataset.leaves)
-    unique_texts = sorted({kp.text for leaf in leaf_ids for kp in dataset.leaves[leaf]})
-    text_index = {text: i for i, text in enumerate(unique_texts)}
-    vocabulary = Vocabulary(sorted({tok for text in unique_texts for tok in text.split()}))
+    vocabulary = Vocabulary(sorted(
+        {tok for leaf in leaf_ids for kp in dataset.leaves[leaf] for tok in kp.text.split()}))
     lookup = vocabulary.lookup
 
     orientation = dataset.orientation
-    text_refs: list[int] = []
+    texts: list[str] = []
     lengths: list[int] = []
     searches: list[float] = []
     recalls: list[float] = []
@@ -122,7 +131,7 @@ def brute_build(dataset: CuratedDataset) -> Model:
         edge_tokens: list[int] = []
         for kp in group:
             token_ids = {lookup(tok) for tok in kp.text.split()}
-            text_refs.append(text_index[kp.text])
+            texts.append(kp.text)
             lengths.append(len(token_ids))
             searches.append(orientation.canonical_search(kp.search_score))
             recalls.append(orientation.canonical_recall(kp.recall_score))
@@ -151,8 +160,7 @@ def brute_build(dataset: CuratedDataset) -> Model:
         meta_category=dataset.meta_category,
         orientation=orientation,
         vocabulary=vocabulary,
-        kp_texts=StringTable(unique_texts),
-        kp_text_ref=np.asarray(text_refs, dtype=np.uint32),
+        kp_texts=StringTable(texts),
         kp_lengths=np.asarray(lengths, dtype=np.uint32),
         kp_search=np.asarray(searches, dtype=np.float64),
         kp_recall=np.asarray(recalls, dtype=np.float64),
@@ -289,7 +297,7 @@ def make_title(rng: random.Random, vocab_size: int, length: int, unknown_rate: f
 
 
 # ---------------------------------------------------------------------------
-# Format version 5 layout, read back by a parser independent of storage.py.
+# Format version 6 layout, read back by a parser independent of storage.py.
 
 HEADER_SIZE = 16
 # The type code before each array stored in the narrowest type that holds
@@ -318,11 +326,11 @@ def _walk(buf):
     pos += 4 + label_len + 2  # label, orientation flags
     for _ in range(2):  # vocabulary, string table: count, byte length, blob
         offsets.append(pos)
+        (count,) = struct.unpack_from("<I", buf, pos)
         pos += 12 + struct.unpack_from("<Q", buf, pos + 4)[0]
     offsets.append(pos)
-    (n,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    arrays = {name: take(n, coded=True) for name in ("kp_text_ref", "kp_search", "kp_recall")}
+    # The string table's entry count is the keyphrase count.
+    arrays = {name: take(count, coded=True) for name in ("kp_search", "kp_recall")}
     offsets.append(pos)
     (leaf_count,) = struct.unpack_from("<I", buf, pos)
     pos += 4
@@ -344,7 +352,7 @@ def _walk(buf):
 
 
 def section_offsets(buf):
-    """Starts of the meta, vocabulary, string table, keyphrase and leaf sections, and the body end.
+    """Starts of the meta, vocabulary, string table, score and leaf sections, and the body end.
 
     The header stores only the body end; the rest are found by walking the body.
     """
@@ -556,4 +564,96 @@ def check_dense_leaf_equivalence(
                 sparse += 1
             checked += 1
     assert min(dense, sparse) >= n_cases // 10, (dense, sparse)
+    return checked
+
+
+def _empty_leaf_corpus(rng: random.Random):
+    """A multi-leaf dataset, some of whose leaves are empty or gone.
+
+    Texts come from one small pool, so most repeat across leaves.  Every
+    row of the "curated away" leaves is below the ``min_search``
+    threshold, so curation drops those leaves entirely; up to three leaf
+    ids, interleaved with the others, are then added by hand with an
+    empty keyphrase list.  Returns the vocabulary size, the dataset and
+    the populated, empty and curated-away leaf ids.
+    """
+    vocab_size = rng.randint(6, 30)
+    pool = [" ".join(f"w{t}" for t in rng.sample(range(vocab_size), rng.randint(1, 4)))
+            for _ in range(rng.randint(4, 30))]
+    ids = rng.sample(range(-20, 40), rng.randint(4, 10))
+    n_away = rng.randint(1, 2)
+    away, leaf_ids = ids[:n_away], ids[n_away:]
+    empty = leaf_ids[:rng.randint(0, 3)]
+    rows = [
+        RawKeyphraseRow(rng.choice(pool), leaf,
+                        float(rng.randint(0, 9) if leaf in away else rng.randint(10, 99)),
+                        float(rng.randint(0, 99)))
+        for leaf in leaf_ids[len(empty):] + away for _ in range(rng.randint(1, 25))
+    ]
+    curated = curate(rows, min_search=10, orientation=COUNT_ORIENTATION, meta_category="e")
+    assert not curated.leaves.keys() & set(away)
+    leaves = {**curated.leaves, **{leaf: [] for leaf in empty}}
+    dataset = CuratedDataset(curated.meta_category, curated.orientation, leaves, curated.stats)
+    return vocab_size, dataset, sorted(curated.leaves), empty, away
+
+
+def check_empty_leaf_equivalence(
+    n_cases: int = 10_000, seed: int = 106, cases_per_corpus: int = 100
+) -> int:
+    """Empty and curated-away leaves answer as the full scan says they should.
+
+    On random multi-leaf corpora (:func:`_empty_leaf_corpus`) a populated
+    leaf's answers equal :func:`brute_recommend`, a leaf with an empty
+    keyphrase list answers ``[]``, and a leaf curated away raises
+    :class:`UnknownLeafError`, both from the built model and from the one
+    its file loads to; writing the loaded model gives the same bytes, and
+    a batch over the loaded model answers each query as ``recommend``.
+    Corpora where a text sits in two leaves must occur.
+    """
+    rng = random.Random(seed)
+    checked = corpora = repeats = 0
+    seen = Counter()
+    while checked < n_cases:
+        vocab_size, dataset, populated, empty, away = _empty_leaf_corpus(rng)
+        model = build(dataset)
+        data = to_bytes(model)
+        loaded = from_bytes(data)
+        assert to_bytes(loaded) == data
+        texts = [kp.text for group in dataset.leaves.values() for kp in group]
+        corpora += 1
+        repeats += len(texts) > len(set(texts))
+        items = []
+        for _ in range(min(cases_per_corpus, n_cases - checked)):
+            kind, leaf = rng.choice(
+                [("populated", leaf) for leaf in populated]
+                + [("empty", leaf) for leaf in empty] + [("away", leaf) for leaf in away])
+            query = Query(make_title(rng, vocab_size, rng.randint(1, 8)), leaf, rng.randint(1, 12))
+            items.append(BatchItem(str(len(items)), query))
+            align = rng.choice(list(Alignment))
+            min_common = rng.choice([None, 2])
+            if kind == "away":
+                for candidate in (model, loaded):
+                    try:
+                        recommend(candidate, query, align=align, min_common_tokens=min_common)
+                    except UnknownLeafError:
+                        pass
+                    else:
+                        raise AssertionError(f"leaf {leaf} was curated away but answered")
+            else:
+                got = recommend(model, query, align=align, min_common_tokens=min_common)
+                assert recommend(loaded, query, align=align, min_common_tokens=min_common) == got
+                expected = brute_recommend(dataset, leaf, query.title, query.k,
+                                           align=align.value, min_common_tokens=min_common or 1)
+                assert predictions_as_tuples(got) == expected, (query, align, min_common)
+                assert kind == "populated" or got == []
+            seen[kind] += 1
+            checked += 1
+        for item, result in zip(items, recommend_batch(loaded, items)):
+            if item.query.leaf_category in away:
+                assert result.error == f"unknown leaf category: {item.query.leaf_category}"
+            else:
+                assert result.error is None
+                assert result.predictions == recommend(loaded, item.query)
+    assert len(seen) == 3 and min(seen.values()) >= n_cases // 10, seen
+    assert repeats >= corpora // 2, (repeats, corpora)
     return checked

@@ -46,6 +46,25 @@ def test_train_reports_counts(tmp_path, capsys):
     assert out.exists()
 
 
+def test_train_reports_what_curation_dropped(tmp_path, capsys):
+    tsv = tmp_path / "kp.tsv"
+    # Kept: red shoe (twice in leaf 1, merged), blue hat, and red shoe in
+    # leaf 2; "cheap mug" is below the threshold and "!!" normalizes to
+    # nothing.
+    tsv.write_text("red shoe\t1\t50\t1\nRed Shoe!\t1\t60\t1\nblue hat\t1\t20\t1\n"
+                   "cheap mug\t1\t2\t1\n!!\t1\t90\t1\nred shoe\t2\t40\t1\n")
+    out = tmp_path / "m.gex"
+    assert main(["train", "--input", str(tsv), "--output", str(out),
+                 "--min-search-count", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "rows: 6 ok, 0 malformed",
+        "curated: 3 kept, 1 below --min-search-count, 1 empty after normalization, "
+        "1 duplicates merged",
+    ]
+    assert lines[-1].startswith(f"wrote {out} ")
+
+
 def test_train_last_line_splits_the_time_by_stage(tmp_path, capsys):
     tsv = tmp_path / "kp.tsv"
     tsv.write_text(HEADPHONES_TSV)
@@ -128,7 +147,7 @@ def test_train_skips_a_row_with_invalid_utf8(tmp_path, capsys):
     assert code == 0
     assert "rows: 2 ok, 1 malformed" in captured.out
     assert f"{tsv}:2: invalid UTF-8 byte 0xff at column 5" in captured.err
-    assert storage.load(str(out)).kp_texts == ["blue hat", "red shoe"]
+    assert storage.load(str(out)).kp_texts == ["red shoe", "blue hat"]
 
 
 def test_train_leaf_id_outside_int64_is_a_malformed_row(tmp_path, capsys):
@@ -383,7 +402,7 @@ def test_stats_prints_the_model_fingerprint(model_path, capsys):
     crc = zlib.crc32(data[16:-4])
     assert main(["stats", "--model", model_path]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == (f"model: format 5, crc 0x{crc:08x}, 5 keyphrases, "
+    assert first == (f"model: format 6, crc 0x{crc:08x}, 5 keyphrases, "
                      f"7 vocabulary tokens, {len(data)} bytes")
 
 
@@ -621,6 +640,23 @@ def test_eval_repeated_universe_keyphrase_names_file_and_line(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {universe}:4: duplicate keyphrase in universe: 'red shoe'\n")
+
+
+def test_eval_repeated_fixture_judgment_names_file_and_line(tmp_path, capsys):
+    # Read into a dict, the later "no" replaced the "yes", and eval exited
+    # 0 with rp=0.5000 where it is 1.0000 without the repeated line.
+    run = tmp_path / "run.jsonl"
+    run.write_text(json.dumps({"item_id": "i1", "predictions": [
+        {"keyphrase": "red shoe", "search": 30}, {"keyphrase": "red hat", "search": 20}]}) + "\n")
+    fixture = tmp_path / "fixture.tsv"
+    fixture.write_text("i1\tred shoe\tyes\ni1\tred hat\tyes\n")
+    args = ["eval", "--runs", f"a={run}", "--oracle", f"fixture:{fixture}"]
+    assert main(args) == 0
+    assert "rp=1.0000" in capsys.readouterr().out
+    fixture.write_text("i1\tred shoe\tyes\ni1\tred hat\tyes\ni1\tred shoe\tno\n")
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fixture}:3: duplicate judgment for item 'i1', keyphrase 'red shoe'\n")
 
 
 @pytest.mark.parametrize("which", ["run", "items", "fixture", "universe"])

@@ -7,6 +7,7 @@ logic.  Seeds are fixed: failures reproduce deterministically.
 
 from helpers import (
     check_dense_leaf_equivalence,
+    check_empty_leaf_equivalence,
     check_in_vocabulary_guarantee,
     check_lta_monotonicity,
     check_permutation_insensitivity,
@@ -34,3 +35,7 @@ def test_count_group_pruning_matches_reference():
 
 def test_dense_leaves_match_the_full_scan():
     assert check_dense_leaf_equivalence(N_CASES) == N_CASES
+
+
+def test_empty_and_curated_away_leaves_match_the_full_scan():
+    assert check_empty_leaf_equivalence(N_CASES) == N_CASES

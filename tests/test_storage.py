@@ -41,7 +41,6 @@ def assert_models_equal(a, b):
     assert a.orientation == b.orientation
     assert a.vocabulary.surfaces() == b.vocabulary.surfaces()
     assert a.kp_texts == b.kp_texts
-    assert np.array_equal(a.kp_text_ref, b.kp_text_ref)
     assert np.array_equal(a.kp_lengths, b.kp_lengths)
     assert np.array_equal(a.kp_search, b.kp_search)
     assert np.array_equal(a.kp_recall, b.kp_recall)
@@ -187,7 +186,7 @@ def test_leaf_block_nbytes_matches_serialized_growth():
 
 
 # ---------------------------------------------------------------------------
-# The format version 5 layout, read back by the parser in helpers.py.
+# The format version 6 layout, read back by the parser in helpers.py.
 
 
 def model_of(*pairs):
@@ -205,7 +204,7 @@ def test_every_loaded_array_is_aligned():
     assert all(start % 8 == 0 for start in starts)
     assert all(leaf["start"] % 8 == 0 for leaf in leaves)
     loaded = from_bytes(data)
-    loaded_arrays = [loaded.kp_text_ref, loaded.kp_search, loaded.kp_recall]
+    loaded_arrays = [loaded.kp_search, loaded.kp_recall]
     for graph in loaded.leaf_graphs.values():
         loaded_arrays += [graph.token_rows, graph.offsets, graph.edges]
     assert all(arr.flags.aligned for arr in loaded_arrays)
@@ -232,7 +231,7 @@ def test_leaf_block_nbytes_is_the_serialized_block_size():
 
 def test_version_1_file_is_rejected_and_names_its_version(headphones_model):
     data = bytearray(to_bytes(headphones_model))
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         data[4:8] = version.to_bytes(4, "little")
         with pytest.raises(UnsupportedVersionError) as excinfo:
             from_bytes(bytes(data))
@@ -246,20 +245,20 @@ def tiny_model():
     return build(curate(rows, orientation=COUNT_ORIENTATION, meta_category="Tiny"))
 
 
-# Every byte of tiny_model() in format version 5.  A layout change that
+# Every byte of tiny_model() in format version 6.  A layout change that
 # does not bump the version fails here.
-TINY_MODEL_V5 = bytes.fromhex(
-    # header: magic, version 5, body end
-    "47455831 05000000 f000000000000000 "
+TINY_MODEL_V6 = bytes.fromhex(
+    # header: magic, version 6, body end
+    "47455831 06000000 e000000000000000 "
     # meta: label length and UTF-8, orientation flags
     "04000000 54696e79 01 01 "
     # vocabulary: entry count, byte length, blob
     "03000000 0d00000000000000 6861740a7265640a73686f650a "
-    # string table: entry count, byte length, blob
-    "03000000 1600000000000000 726564206861740a7265642073686f650a73686f650a "
-    # keyphrases: count; each array a type code, pad and values.  Text refs
-    # are u8 (code 1), search and recall scores f32 (code 5).
-    "03000000 01 000000000000 010200 05 00000000 0000f041 00002041 0000a041 "
+    # string table: entry count (the keyphrase count), byte length, blob,
+    # one text per keyphrase id: leaf 1's in text order, then leaf 2's
+    "03000000 1600000000000000 7265642073686f650a73686f650a726564206861740a "
+    # search, then recall scores: each a type code (f32, code 5), pad, values
+    "05 0000 0000f041 00002041 0000a041 "
     "05 000000 00000040 0000803f 00004040 "
     # leaves: count
     "02000000 "
@@ -273,13 +272,13 @@ TINY_MODEL_V5 = bytes.fromhex(
     # token rows; row offsets as u8; edges
     "0000000001000000 01 00000000000000 000102 0000000000 0200000002000000 "
     # CRC-32 of the body
-    "ac56a379"
+    "c4a2f55c"
 )
 
 
 def test_tiny_model_file_is_pinned_byte_for_byte():
-    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V5.hex()
-    loaded = from_bytes(TINY_MODEL_V5)
+    assert to_bytes(tiny_model()).hex() == TINY_MODEL_V6.hex()
+    loaded = from_bytes(TINY_MODEL_V6)
     assert_models_equal(tiny_model(), loaded)
     predictions = recommend(loaded, Query("red shoe", 1))
     assert [(p.keyphrase, p.align, p.search) for p in predictions] == [
@@ -455,8 +454,6 @@ MALFORMED = {
     "duplicate leaf id": (
         [("aa bb", 1), ("aa bb", 2)], edit_second_leaf_id,
         "leaf ids must be strictly ascending: leaf 1 follows leaf 1"),
-    "keyphrase text reference outside string table": (
-        [("aa bb", 1), ("cc dd", 1)], edit_array("kp_text_ref", 1, 2), "string table"),
     # The vocabulary blob of these models is b"aa\nab\n" or b"aa\nbb\n", the
     # keyphrase string table b"aa ab\n" or b"aa bb\n".
     "duplicate vocabulary surface": (
@@ -487,7 +484,7 @@ MALFORMED = {
     "unknown type code": (
         [("aa bb", 1)], edit_type_code("kp_search", 7), "search scores: type code 7"),
     "zero type code": (
-        [("aa bb", 1)], edit_type_code("kp_text_ref", 0), "text references: type code 0"),
+        [("aa bb", 1)], edit_type_code("kp_recall", 0), "recall scores: type code 0"),
     "float row offsets": (
         [("aa bb", 1)], edit_type_code("offsets", 5), "leaf 1 offsets: type code 5"),
     "integer search scores": (
@@ -551,6 +548,14 @@ def test_writer_rejects_a_kp_base_that_is_not_the_running_keyphrase_count():
         with pytest.raises(ValueError, match=f"leaf {leaf_id}: edge outside the leaf's "
                                              f"keyphrase range {leaf_range}"):
             to_bytes(model)
+    # A score array that is not one per keyphrase: the file stores no
+    # score count, so the reader took the extra score's bytes as the next
+    # array's type code and padding.
+    for name in ("kp_search", "kp_recall"):
+        model = model_of(("a b", 1), ("c d", 3))
+        setattr(model, name, np.append(getattr(model, name), np.float32(1)))
+        with pytest.raises(ValueError, match=f"{name} holds 3 scores for 2 keyphrases"):
+            to_bytes(model)
     model = model_of(("a b", 1), ("c d", 3))
     model.leaf_graphs[3].num_keyphrases = 2
     with pytest.raises(ValueError, match=r"leaf 3: keyphrases \[1, 3\) run past the "
@@ -611,7 +616,6 @@ def test_offsets_and_lengths_take_the_narrowest_unsigned_type(
     for candidate in (model, loaded):
         assert candidate.leaf(1).offsets.dtype == offsets_type
         assert candidate.kp_lengths.dtype == lengths_type
-        assert candidate.kp_text_ref.dtype == (np.uint8 if n_keyphrases <= 256 else np.uint16)
         assert candidate.leaf(1).token_rows.dtype == candidate.leaf(1).edges.dtype == np.uint32
     assert leaf_block_nbytes(model.leaf(1)) == leaf_block_nbytes(brute_build(dataset).leaf(1))
 
